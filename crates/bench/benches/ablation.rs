@@ -27,11 +27,7 @@ fn bench_local_kernel(c: &mut Criterion) {
     let data = master_dataset(BENCH_N).project(6);
     let mut group = c.benchmark_group("ablation_local_kernel");
     group.sample_size(10);
-    for (name, kernel) in [
-        ("bnl", LocalKernel::Bnl),
-        ("sfs", LocalKernel::Sfs),
-        ("dnc", LocalKernel::Dnc),
-    ] {
+    for (name, kernel) in [("bnl", LocalKernel::Bnl), ("sfs", LocalKernel::Sfs)] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &data, |b, data| {
             let mut job = SkylineJob::new(Algorithm::MrAngle, 8);
             job.config.kernel = kernel;

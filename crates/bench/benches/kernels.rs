@@ -1,5 +1,5 @@
-//! Skyline kernel shoot-out: BNL (the paper's choice) vs SFS vs
-//! divide-and-conquer, across the three classic data distributions.
+//! Skyline kernel shoot-out: BNL (the paper's choice) vs SFS vs SaLSa,
+//! across the three classic data distributions.
 //!
 //! This is the evidence behind DESIGN.md's "local kernel" ablation: on
 //! correlated (QWS-like) data the kernels are close; on anti-correlated data
@@ -11,7 +11,6 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use qws_data::{generate_synthetic, Distribution, SyntheticConfig};
 use skyline_algos::block::PointBlock;
 use skyline_algos::bnl::{bnl_skyline, BnlConfig};
-use skyline_algos::dnc::dnc_skyline;
 use skyline_algos::dominance::dominates;
 use skyline_algos::kernel::{block_bnl_stats, block_sfs_stats, dominated_count};
 use skyline_algos::parallel::{parallel_skyline, parallel_skyline_partitioned};
@@ -48,9 +47,6 @@ fn bench_kernels(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("sfs", n), &pts, |b, pts| {
             b.iter(|| sfs_skyline(pts).len());
-        });
-        group.bench_with_input(BenchmarkId::new("dnc", n), &pts, |b, pts| {
-            b.iter(|| dnc_skyline(pts).len());
         });
         group.finish();
     }

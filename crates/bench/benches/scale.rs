@@ -149,14 +149,6 @@ fn run(data: &Dataset, config: AlgoConfig) -> SkylineRunReport {
         .run(data)
 }
 
-fn seed_config() -> AlgoConfig {
-    AlgoConfig {
-        owned_shuffle: false,
-        static_executor: true,
-        ..AlgoConfig::default()
-    }
-}
-
 fn spilled_config(dir: &std::path::Path) -> AlgoConfig {
     AlgoConfig {
         // Well under the ~900 KB each of the 16 reducer inputs carries at
@@ -284,35 +276,22 @@ fn bench_scale(c: &mut Criterion) {
     let (steal_wall, steal_workers) = skewed_pool_run(ExecutorMode::WorkStealing);
     let host_threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 
-    // --- End-to-end completion at n=10M, scaled vs seed semantics ---
+    // --- End-to-end completion at n=10M ---
     drop(rows);
     drop(data);
     let big = dataset(N_END2END);
-    // One untimed warm-up, then *alternating* timed runs with a per-config
-    // minimum: the first 10M-row runs pay allocator page-faulting for
-    // multi-GB working sets that later runs recycle, so successive runs of
-    // the *same* config drift faster by 2× — ordering the configs
-    // back-to-back would attribute that drift to whichever ran first.
+    // One untimed warm-up, then the minimum of three timed runs: the first
+    // 10M-row runs pay allocator page-faulting for multi-GB working sets
+    // that later runs recycle, so successive runs drift faster by up to 2×.
     let _ = run(&big, AlgoConfig::default());
     let mut scaled_s = f64::INFINITY;
-    let mut seed_s = f64::INFINITY;
     let mut scaled = None;
-    let mut seed = None;
     for _ in 0..3 {
         let t = Instant::now();
         scaled = Some(run(&big, AlgoConfig::default()));
         scaled_s = scaled_s.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        seed = Some(run(&big, seed_config()));
-        seed_s = seed_s.min(t.elapsed().as_secs_f64());
     }
     let scaled = scaled.expect("three timed rounds ran");
-    let seed = seed.expect("three timed rounds ran");
-    assert_eq!(
-        fingerprint(&scaled),
-        fingerprint(&seed),
-        "scaled pipeline changed the n=10M skyline"
-    );
 
     let json = format!(
         "{{\n  \"bench\": \"scale/raw_scale_machinery\",\n  \"distribution\": \"anti-correlated\",\n  \
@@ -330,7 +309,7 @@ fn bench_scale(c: &mut Criterion) {
          \"end_to_end\": {{\n    \"n\": {N_END2END},\n    \"skyline\": {},\n    \
          \"merge_candidates\": {},\n    \"shuffle_bytes\": {},\n    \
          \"peak_map_out_bytes\": {},\n    \"peak_reduce_in_bytes\": {},\n    \
-         \"wall_s_scaled\": {scaled_s:.2},\n    \"wall_s_seed\": {seed_s:.2}\n  }}\n}}\n",
+         \"wall_s_scaled\": {scaled_s:.2}\n  }}\n}}\n",
         resident.peak_reduce_in_bytes(),
         spilled.peak_reduce_in_bytes(),
         scaled.global_skyline.len(),

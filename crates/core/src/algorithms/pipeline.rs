@@ -31,13 +31,12 @@ use mini_mapreduce::prelude::*;
 use mini_mapreduce::runtime::{LocalityConfig, SpillConfig, RECORDS_PER_SPLIT};
 use mini_mapreduce::scheduler::SpeculationConfig;
 use mini_mapreduce::task::FailureConfig;
-use mini_mapreduce::{ExecutorMode, OwnedMergeFn};
+use mini_mapreduce::OwnedMergeFn;
 use mrsky_chaos::{FaultPlan, KillSwitch, KILL_PAYLOAD};
 use mrsky_trace::{EventKind, Tracer};
 use qws_data::Dataset;
 use skyline_algos::block::PointBlock;
 use skyline_algos::bnl::BnlConfig;
-use skyline_algos::dnc::dnc_skyline_stats;
 use skyline_algos::filter::{filtered_out, select_filter_points};
 use skyline_algos::incremental::{SharedStreamingMerge, StreamingMerge};
 use skyline_algos::kernel::{block_bnl_stats, block_sfs_stats, presort_merge_stats, KernelStats};
@@ -51,9 +50,6 @@ use std::sync::Arc;
 /// Rows per shuffled block: map splits and shuffle values carry at most
 /// this many services per [`PointBlock`] record.
 const BLOCK_ROWS: usize = 256;
-
-/// Shared wire-size estimator for `(partition id, service block)` pairs.
-type BlockSizer = Arc<dyn Fn(&u64, &PointBlock) -> usize + Send + Sync>;
 
 /// Everything the pipeline needs beyond the dataset and the partitioner.
 #[derive(Clone)]
@@ -127,16 +123,6 @@ pub struct PipelineOutput {
 /// map wave structure the paper's figures depend on).
 fn point_splits(points: usize) -> usize {
     points.div_ceil(RECORDS_PER_SPLIT).max(1)
-}
-
-/// Concatenates shuffle value blocks into one flat batch.
-fn concat_blocks(dim: usize, blocks: &[PointBlock]) -> PointBlock {
-    let rows = blocks.iter().map(PointBlock::len).sum();
-    let mut out = PointBlock::with_capacity(dim, rows);
-    for b in blocks {
-        out.extend_from_block(b);
-    }
-    out
 }
 
 /// Concatenates owned shuffle value blocks without copying the first one:
@@ -220,6 +206,33 @@ fn spill_config(cfg: &AlgoConfig) -> Option<SpillConfig<PointBlock>> {
     })
 }
 
+/// A spec for one job of the chain over `points` input services, with
+/// every setting both jobs share: the simulated cluster and its failure,
+/// speculation, locality and chaos models, host threads, the tracer, the
+/// ownership-transfer shuffle merge, the spill policy, and the block wire
+/// sizer (per row, plus one 8-byte key per block).
+fn block_job_spec(
+    opts: &PipelineOptions,
+    job: &str,
+    reducers: usize,
+    points: usize,
+) -> JobSpec<u64, PointBlock> {
+    let mut spec = JobSpec::new(format!("{}-{job}", opts.name), opts.cluster.clone())
+        .with_reducers(reducers)
+        .with_map_tasks(point_splits(points));
+    spec.owned_merge = Some(owned_block_merge());
+    spec.spill = spill_config(&opts.config);
+    spec.cost = opts.cost.clone();
+    spec.failure = opts.failure.clone();
+    spec.speculation = opts.speculation.clone();
+    spec.threads = opts.threads;
+    spec.locality = opts.locality.clone();
+    spec.sizer = Some(Arc::new(|_k: &u64, b: &PointBlock| 8 + b.wire_size()));
+    spec.tracer = opts.tracer.clone();
+    spec.chaos = opts.chaos.clone();
+    spec
+}
+
 /// Re-packs an AoS kernel result into a block.
 fn repack(dim: usize, points: &[Point]) -> PointBlock {
     let mut out = PointBlock::with_capacity(dim, points.len());
@@ -283,8 +296,8 @@ impl From<(PointBlock, KernelStats, &'static str)> for KernelOutcome {
 }
 
 /// Runs the configured local-skyline kernel over one block. BNL, SFS and
-/// SaLSa run natively on the columnar layout; DnC converts at the boundary
-/// (see DESIGN.md "Data layout & kernels" and "Local kernel selection").
+/// SaLSa all run natively on the columnar layout (see DESIGN.md "Data
+/// layout & kernels" and "Local kernel selection").
 /// `Auto` resolves to a concrete kernel per block via the calibrated
 /// [`KernelChoice`] boundaries, and the returned outcome names the kernel
 /// that actually ran.
@@ -315,16 +328,6 @@ fn run_local_kernel(
             let (sky, stats) = choice.run(block, &bnl_cfg());
             (sky, stats, choice.name()).into()
         }
-        LocalKernel::Dnc => {
-            let (sky, stats) = dnc_skyline_stats(&block.to_points());
-            KernelOutcome {
-                sky: repack(block.dim(), &sky),
-                work: stats.counter.dim_weighted(),
-                comparisons: stats.counter.comparisons(),
-                passes: 1,
-                kernel: "dnc",
-            }
-        }
     }
 }
 
@@ -346,7 +349,6 @@ pub fn run_two_job_pipeline(
 ) -> PipelineOutput {
     let num_partitions = partitioner.num_partitions();
     let dim = dataset.points().first().map_or(1, Point::dim);
-    let sizer: BlockSizer = Arc::new(|_k: &u64, b: &PointBlock| 8 + b.wire_size());
 
     // One columnar copy of the dataset; map splits are slices of it.
     let mut input_block = PointBlock::with_capacity(dim, dataset.len());
@@ -439,7 +441,7 @@ pub fn run_two_job_pipeline(
         _ => BTreeMap::new(),
     };
     let job1_input = if restored.is_empty() {
-        input_block.clone()
+        input_block
     } else {
         let mut b = PointBlock::with_capacity(dim, input_block.len());
         for i in 0..input_block.len() {
@@ -465,36 +467,12 @@ pub fn run_two_job_pipeline(
         Arc::new(SharedStreamingMerge::new(sm))
     });
 
-    // ---- Scale plumbing shared by every job in the chain ----
-    let executor = if opts.config.static_executor {
-        ExecutorMode::Static
-    } else {
-        ExecutorMode::WorkStealing
-    };
-    let owned_merge: Option<OwnedMergeFn<PointBlock>> =
-        opts.config.owned_shuffle.then(owned_block_merge);
-    let spill = spill_config(&opts.config);
-
     // ---- Job 1: partition + local skylines ----
     // One reduce task per partition, as a Hadoop job would configure for a
     // partition-keyed reduce; the cluster's reduce slots bound *concurrency*
     // (waves), not the task count.
-    let mut spec1: JobSpec<u64, PointBlock> =
-        JobSpec::new(format!("{}-partition", opts.name), opts.cluster.clone())
-            .with_reducers(num_partitions.max(1))
-            .with_map_tasks(point_splits(job1_input.len()))
-            .with_executor(executor);
-    spec1.owned_merge = owned_merge.clone();
-    spec1.spill = spill.clone();
-    spec1.cost = opts.cost.clone();
-    spec1.failure = opts.failure.clone();
-    spec1.speculation = opts.speculation.clone();
-    spec1.threads = opts.threads;
-    spec1.locality = opts.locality.clone();
-    spec1.sizer = Some(sizer.clone());
+    let mut spec1 = block_job_spec(opts, "partition", num_partitions.max(1), job1_input.len());
     spec1.router = Some(Arc::new(|k: &u64, r: usize| (*k % r as u64) as usize));
-    spec1.tracer = opts.tracer.clone();
-    spec1.chaos = opts.chaos.clone();
 
     let part = Arc::clone(&partitioner);
     let map_work = opts.map_work_per_point;
@@ -668,22 +646,13 @@ pub fn run_two_job_pipeline(
         })
         .collect();
 
-    // ---- Optional hierarchical pre-merge rounds ----
-    // Candidates are hash-spread over `fan_in` reducers, each computing the
-    // skyline of its share; rounds repeat until one reducer's share is small
-    // enough. Lossless: a global skyline point survives any subset's local
-    // skyline, and every point pruned in a round is globally dominated.
-    let mut premerge_metrics: Option<JobMetrics> = None;
-    // Chain edges record which job feeds the next one; premerge rounds
-    // splice themselves into the middle of the chain.
-    let mut chain_prev_job = format!("{}-partition", opts.name);
     // Candidate order: by service id, i.e. the registry's original (random)
     // order — what a real shuffle's map-completion order would roughly
     // carry. The merge kernel presorts by L1 norm internally, so candidate
     // order no longer changes merge cost; the id sort keeps the record and
     // byte accounting deterministic.
     let mut streaming_candidates = 0u64;
-    let mut merge_block = if let Some(sm) = &streaming {
+    let merge_block = if let Some(sm) = &streaming {
         // Job 2's input is the streaming merge's running skyline: the merge
         // work already happened inside Job 1's reduce wave, so Job 2 is the
         // (cheap) finalization pass the two-job contract still requires.
@@ -699,118 +668,13 @@ pub fn run_two_job_pipeline(
         b.sort_by_id();
         b
     };
-    // Hierarchical pre-merge is pointless after a streaming merge — the
-    // candidate set is already a skyline — so streaming wins the conflict.
-    if let (None, Some(fan_in)) = (&streaming, opts.config.merge_fan_in) {
-        assert!(fan_in >= 2, "hierarchical merge needs fan-in >= 2");
-        let mut round = 0u32;
-        while merge_block.len() > fan_in * 64 && round < 8 {
-            round += 1;
-            let reducers = merge_block
-                .len()
-                .div_ceil(fan_in * 64)
-                .min(opts.cluster.reduce_slots().max(1));
-            if reducers <= 1 {
-                break;
-            }
-            let mut spec_pm: JobSpec<u64, PointBlock> = JobSpec::new(
-                format!("{}-premerge{round}", opts.name),
-                opts.cluster.clone(),
-            )
-            .with_reducers(reducers)
-            .with_map_tasks(point_splits(merge_block.len()))
-            .with_executor(executor);
-            spec_pm.owned_merge = owned_merge.clone();
-            spec_pm.spill = spill.clone();
-            spec_pm.cost = opts.cost.clone();
-            spec_pm.failure = opts.failure.clone();
-            spec_pm.speculation = opts.speculation.clone();
-            spec_pm.threads = opts.threads;
-            spec_pm.locality = opts.locality.clone();
-            spec_pm.sizer = Some(sizer.clone());
-            spec_pm.tracer = opts.tracer.clone();
-            spec_pm.chaos = opts.chaos.clone();
-            let r = reducers as u64;
-            let mapper_pm =
-                move |b: &PointBlock, ctx: &mut TaskContext, out: &mut Emitter<u64, PointBlock>| {
-                    ctx.add_records_in(b.len().saturating_sub(1) as u64);
-                    let mut shards: Vec<PointBlock> = vec![PointBlock::new(b.dim()); reducers];
-                    for i in 0..b.len() {
-                        let shard = usize::try_from(b.id(i) % r).unwrap_or(0);
-                        shards[shard].push_row_from(b, i);
-                    }
-                    for (sid, shard) in shards.into_iter().enumerate() {
-                        if !shard.is_empty() {
-                            out.emit(sid as u64, shard);
-                        }
-                    }
-                };
-            let tracer_pm = opts.tracer.clone();
-            let reducer_pm = move |key: &u64,
-                                   values: Vec<PointBlock>,
-                                   ctx: &mut TaskContext,
-                                   out: &mut Vec<PointBlock>| {
-                let _ = key;
-                let points: u64 = values.iter().map(|b| b.len() as u64).sum();
-                ctx.add_records_in(points.saturating_sub(values.len() as u64));
-                let started_us = tracer_pm.now_us();
-                let outcome = run_merge_kernel(&concat_owned(dim, values));
-                let elapsed_us = tracer_pm.now_us().saturating_sub(started_us);
-                ctx.add_work(outcome.work);
-                outcome.trace(&tracer_pm, points, elapsed_us);
-                out.push(outcome.sky);
-            };
-            let splits = merge_block.chunks(BLOCK_ROWS);
-            let job: JobResult<u64, PointBlock> =
-                run_job(&spec_pm, &splits, &mapper_pm, None, &reducer_pm);
-            let this_job = format!("{}-premerge{round}", opts.name);
-            opts.tracer.emit(|| EventKind::CausalEdge {
-                edge: "chain".into(),
-                src: format!("job:{chain_prev_job}"),
-                dst: format!("job:{this_job}"),
-            });
-            chain_prev_job = this_job;
-            premerge_metrics = Some(match premerge_metrics.take() {
-                None => job.metrics.clone(),
-                Some(m) => m.chain(&job.metrics),
-            });
-            let before = merge_block.len();
-            merge_block = concat_blocks(dim, &job.into_outputs());
-            merge_block.sort_by_id();
-            if merge_block.len() == before {
-                break; // no progress: everything is mutually non-dominated
-            }
-        }
-    }
 
     // ---- Job 2: merge ----
-    let mut spec2: JobSpec<u64, PointBlock> =
-        JobSpec::new(format!("{}-merge", opts.name), opts.cluster.clone())
-            .with_reducers(1)
-            .with_map_tasks(point_splits(merge_block.len()))
-            .with_executor(executor);
-    spec2.owned_merge = owned_merge;
-    spec2.spill = spill;
-    spec2.cost = opts.cost.clone();
-    spec2.failure = opts.failure.clone();
-    spec2.speculation = opts.speculation.clone();
-    spec2.threads = opts.threads;
-    spec2.locality = opts.locality.clone();
-    spec2.sizer = Some(sizer);
-    spec2.tracer = opts.tracer.clone();
-    spec2.chaos = opts.chaos.clone();
+    let spec2 = block_job_spec(opts, "merge", 1, merge_block.len());
 
     let mapper2 = |b: &PointBlock, ctx: &mut TaskContext, out: &mut Emitter<u64, PointBlock>| {
         ctx.add_records_in(b.len().saturating_sub(1) as u64);
         out.emit(0u64, b.clone());
-    };
-    // Optional map-side pre-merge: each merge-map task reduces its slice of
-    // candidates to a local skyline before the single reducer sees them —
-    // the standard combiner trick the paper's Algorithm 1 does not use.
-    let combiner2 = move |_key: &u64, values: Vec<PointBlock>, ctx: &mut TaskContext| {
-        let outcome = run_merge_kernel(&concat_owned(dim, values));
-        ctx.add_work(outcome.work);
-        vec![outcome.sky]
     };
     let tracer2 = opts.tracer.clone();
     let reducer2 = move |_key: &u64,
@@ -828,24 +692,15 @@ pub fn run_two_job_pipeline(
     };
 
     let merge_splits = merge_block.chunks(BLOCK_ROWS);
-    let job2: JobResult<u64, PointBlock> = run_job(
-        &spec2,
-        &merge_splits,
-        &mapper2,
-        if opts.config.merge_combiner {
-            Some(&combiner2 as &dyn Combiner<u64, PointBlock>)
-        } else {
-            None
-        },
-        &reducer2,
-    );
+    let job2: JobResult<u64, PointBlock> =
+        run_job(&spec2, &merge_splits, &mapper2, None, &reducer2);
     let metrics2 = job2.metrics.clone();
     opts.tracer.emit(|| EventKind::CausalEdge {
         edge: "chain".into(),
-        src: format!("job:{chain_prev_job}"),
+        src: format!("job:{}-partition", opts.name),
         dst: format!("job:{}-merge", opts.name),
     });
-    let mut global_block = concat_blocks(dim, &job2.into_outputs());
+    let mut global_block = concat_owned(dim, job2.into_outputs());
     global_block.sort_by_id();
     let global_skyline = global_block.to_points();
 
@@ -873,10 +728,7 @@ pub fn run_two_job_pipeline(
         }
         metrics1.chain_overlapped(&metrics2, overlap)
     } else {
-        match premerge_metrics {
-            Some(pm) => metrics1.chain(&pm).chain(&metrics2),
-            None => metrics1.chain(&metrics2),
-        }
+        metrics1.chain(&metrics2)
     };
     PipelineOutput {
         local_skylines,
@@ -1050,56 +902,6 @@ mod tests {
             flaky.metrics.map.attempts + flaky.metrics.reduce.attempts
                 > clean.metrics.map.attempts + clean.metrics.reduce.attempts
         );
-    }
-
-    #[test]
-    fn merge_combiner_preserves_result_and_cuts_reducer_input() {
-        let data = generate_qws(&QwsConfig::new(4000, 6));
-        let plain = run(Algorithm::MrAngle, &data, 8);
-        let cfg = AlgoConfig {
-            merge_combiner: true,
-            ..AlgoConfig::default()
-        };
-        let part = build_partitioner(Algorithm::MrAngle, &cfg, &data, 8).expect("fit");
-        let mut opts = options("MR-Angle-combine", 8);
-        opts.config = cfg;
-        let combined = run_two_job_pipeline(part, &data, &opts);
-        assert_eq!(
-            sky_ids(&plain.global_skyline),
-            sky_ids(&combined.global_skyline)
-        );
-        // the final reducer now receives at most as many records
-        assert!(
-            combined.metrics.reduce.records_in <= plain.metrics.reduce.records_in,
-            "combiner must not inflate reducer input"
-        );
-    }
-
-    #[test]
-    fn hierarchical_merge_preserves_result() {
-        let data = generate_qws(&QwsConfig::new(6000, 8));
-        let plain = run(Algorithm::MrAngle, &data, 8);
-        let cfg = AlgoConfig {
-            merge_fan_in: Some(4),
-            ..AlgoConfig::default()
-        };
-        let part = build_partitioner(Algorithm::MrAngle, &cfg, &data, 8).expect("fit");
-        let mut opts = options("MR-Angle-tree", 8);
-        opts.config = cfg;
-        let tree = run_two_job_pipeline(part, &data, &opts);
-        assert_eq!(
-            sky_ids(&plain.global_skyline),
-            sky_ids(&tree.global_skyline)
-        );
-        // the final single reducer sees at most as much as without pre-merge
-        let final_in = |out: &PipelineOutput| {
-            *out.metrics
-                .reduce
-                .task_durations
-                .last()
-                .expect("merge task exists")
-        };
-        assert!(final_in(&tree) <= final_in(&plain) + 1e-9);
     }
 
     #[test]
@@ -1358,44 +1160,6 @@ mod tests {
             .map(|(_, v)| v.len() as u64)
             .sum();
         assert!(candidates >= shipped);
-    }
-
-    #[test]
-    fn owned_shuffle_matches_seed_row_shuffle_bit_for_bit() {
-        let data = generate_qws(&QwsConfig::new(1500, 4));
-        let owned = run(Algorithm::MrAngle, &data, 4);
-        let cfg = AlgoConfig {
-            owned_shuffle: false,
-            static_executor: true,
-            ..AlgoConfig::default()
-        };
-        let part = build_partitioner(Algorithm::MrAngle, &cfg, &data, 4).expect("fit");
-        let mut opts = options("MR-Angle-seed", 4);
-        opts.config = cfg;
-        let seed = run_two_job_pipeline(part, &data, &opts);
-        // not just the same set — the same points in the same order
-        assert_eq!(owned.global_skyline, seed.global_skyline);
-        assert_eq!(owned.local_skylines, seed.local_skylines);
-        // the wire is the same size either way: concatenation transfers
-        // bytes, it does not invent or drop them
-        assert_eq!(owned.metrics.shuffle_bytes, seed.metrics.shuffle_bytes);
-    }
-
-    #[test]
-    fn executor_modes_agree_on_the_pipeline() {
-        let data = generate_qws(&QwsConfig::new(900, 3));
-        let stealing = run(Algorithm::MrGrid, &data, 4);
-        let cfg = AlgoConfig {
-            static_executor: true,
-            ..AlgoConfig::default()
-        };
-        let part = build_partitioner(Algorithm::MrGrid, &cfg, &data, 4).expect("fit");
-        let mut opts = options("MR-Grid-static", 4);
-        opts.config = cfg;
-        opts.map_work_per_point = map_work_per_point(Algorithm::MrGrid, data.dim());
-        let fixed = run_two_job_pipeline(part, &data, &opts);
-        assert_eq!(stealing.global_skyline, fixed.global_skyline);
-        assert_eq!(stealing.metrics.sim_total, fixed.metrics.sim_total);
     }
 
     #[test]

@@ -52,8 +52,6 @@ pub enum LocalKernel {
     Sfs,
     /// SaLSa (min-coordinate presort with an early-stop watermark).
     Salsa,
-    /// Divide-and-Conquer — ablation alternative.
-    Dnc,
     /// Pick the cheapest kernel per partition at runtime from its
     /// cardinality, dimensionality, and a sampled correlation estimate
     /// (see `skyline_algos::select::KernelChoice`).
@@ -68,7 +66,6 @@ impl LocalKernel {
             LocalKernel::Bnl => "bnl",
             LocalKernel::Sfs => "sfs",
             LocalKernel::Salsa => "salsa",
-            LocalKernel::Dnc => "dnc",
             LocalKernel::Auto => "auto",
         }
     }
@@ -79,7 +76,6 @@ impl LocalKernel {
             "bnl" => Some(LocalKernel::Bnl),
             "sfs" => Some(LocalKernel::Sfs),
             "salsa" => Some(LocalKernel::Salsa),
-            "dnc" => Some(LocalKernel::Dnc),
             "auto" => Some(LocalKernel::Auto),
             _ => None,
         }
@@ -97,10 +93,8 @@ impl std::fmt::Display for LocalKernel {
 pub struct AlgoConfig {
     /// Partition-count policy: `partitions = partitions_per_node × servers`
     /// (the paper: "the number of partitions is set as (2 × number of
-    /// nodes)"). Overridden by `partitions_override`.
+    /// nodes)").
     pub partitions_per_node: usize,
-    /// Explicit partition count, if set.
-    pub partitions_override: Option<usize>,
     /// BNL window bound; `None` = unbounded (fits the 1 GB-heap model for
     /// the paper's dataset sizes).
     pub bnl_window: Option<usize>,
@@ -125,18 +119,6 @@ pub struct AlgoConfig {
     /// ablation: balanced baselines fix stragglers but still ship globally
     /// dominated candidates.
     pub baseline_quantile: bool,
-    /// Hierarchical merge: when set, local-skyline candidates are first
-    /// pre-merged by `fan_in`-way partial-merge jobs (parallel reducers)
-    /// until at most `fan_in × threshold` candidates remain, and only then
-    /// by the single-reducer merge of Algorithm 1. Attacks the serial-merge
-    /// bottleneck the Figure-6 analysis exposes; not in the paper.
-    pub merge_fan_in: Option<usize>,
-    /// Run a map-side combiner in the merging job (each merge-map task
-    /// pre-merges its slice of candidates before the single reducer). Not in
-    /// the paper's Algorithm 1 — default `false` — but a strict improvement
-    /// that parallelises the serial merge bottleneck; the ablation bench
-    /// quantifies it.
-    pub merge_combiner: bool,
     /// Filter-point broadcast: select this many strong candidates (the
     /// per-dimension minima plus smallest-L1 fillers) before the partitioning
     /// job, broadcast them to every map task, and drop any row one of them
@@ -156,18 +138,6 @@ pub struct AlgoConfig {
     /// final result is bit-identical either way; off by default to preserve
     /// the paper's two-phase cost model.
     pub streaming_merge: bool,
-    /// Zero-copy block shuffle: same-key value blocks are concatenated by
-    /// ownership transfer *during* the shuffle (no clone, no second concat
-    /// in the reducer). Bit-identical output; on by default. The seed
-    /// semantics — one value per routed block — are restored by switching
-    /// this off.
-    #[serde(default)]
-    pub owned_shuffle: bool,
-    /// Force the static chunked executor for real map/reduce execution
-    /// instead of the work-stealing default. Off by default; the seed
-    /// behaviour for skew comparisons and ablation benches.
-    #[serde(default)]
-    pub static_executor: bool,
     /// Reduce-input spill budget in (wire-accounted) bytes: any reduce
     /// input larger than this is spilled to disk right after the shuffle
     /// and reloaded just-in-time by its reduce task. `None` (default)
@@ -185,20 +155,15 @@ impl Default for AlgoConfig {
     fn default() -> Self {
         Self {
             partitions_per_node: 2,
-            partitions_override: None,
             bnl_window: None,
             kernel: LocalKernel::Bnl,
             grid_pruning: true,
             grid_dims: 2,
             angle_quantile: true,
             baseline_quantile: false,
-            merge_fan_in: None,
-            merge_combiner: false,
             filter_k: None,
             sector_prune: true,
             streaming_merge: false,
-            owned_shuffle: true,
-            static_executor: false,
             spill_budget_bytes: None,
             spill_dir: None,
         }
@@ -208,9 +173,7 @@ impl Default for AlgoConfig {
 impl AlgoConfig {
     /// Partition count for a cluster of `servers`.
     pub fn partitions_for(&self, servers: usize) -> usize {
-        self.partitions_override
-            .unwrap_or(self.partitions_per_node * servers)
-            .max(1)
+        (self.partitions_per_node * servers).max(1)
     }
 
     /// Resolved filter-point count for a `d`-dimensional dataset: the
@@ -251,6 +214,11 @@ mod tests {
         let cfg = AlgoConfig::default();
         assert_eq!(cfg.partitions_for(8), 16);
         assert_eq!(cfg.partitions_for(1), 2);
+        let zero = AlgoConfig {
+            partitions_per_node: 0,
+            ..AlgoConfig::default()
+        };
+        assert_eq!(zero.partitions_for(8), 1, "clamped to at least 1");
     }
 
     #[test]
@@ -273,23 +241,7 @@ mod tests {
     #[test]
     fn scale_knob_defaults() {
         let cfg = AlgoConfig::default();
-        assert!(cfg.owned_shuffle, "owned shuffle defaults on");
-        assert!(!cfg.static_executor, "work stealing is the default");
         assert_eq!(cfg.spill_budget_bytes, None, "spilling defaults off");
         assert_eq!(cfg.spill_dir, None);
-    }
-
-    #[test]
-    fn partition_override_wins() {
-        let cfg = AlgoConfig {
-            partitions_override: Some(5),
-            ..AlgoConfig::default()
-        };
-        assert_eq!(cfg.partitions_for(8), 5);
-        let zero = AlgoConfig {
-            partitions_override: Some(0),
-            ..AlgoConfig::default()
-        };
-        assert_eq!(zero.partitions_for(8), 1, "clamped to at least 1");
     }
 }

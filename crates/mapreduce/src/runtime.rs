@@ -146,9 +146,6 @@ pub struct JobSpec<K, V> {
     /// pipeline installs a `PointBlock`-appending merge so reduce inputs
     /// arrive as single concatenated buffers.
     pub owned_merge: Option<OwnedMergeFn<V>>,
-    /// Real-execution task scheduler: work-stealing (default) or static
-    /// contiguous chunks (the pre-stealing baseline kept for comparison).
-    pub executor: ExecutorMode,
     /// Spill policy for oversized reduce inputs; `None` keeps everything in
     /// memory.
     pub spill: Option<SpillConfig<V>>,
@@ -250,7 +247,6 @@ impl<K: KeyT, V: DataT> JobSpec<K, V> {
             tracer: Tracer::disabled(),
             chaos: FaultPlan::off(),
             owned_merge: None,
-            executor: ExecutorMode::default(),
             spill: None,
         }
     }
@@ -264,12 +260,6 @@ impl<K: KeyT, V: DataT> JobSpec<K, V> {
     /// Installs an ownership-transfer shuffle merge (builder style).
     pub fn with_owned_merge(mut self, merge: OwnedMergeFn<V>) -> Self {
         self.owned_merge = Some(merge);
-        self
-    }
-
-    /// Selects the real-execution scheduler (builder style).
-    pub fn with_executor(mut self, executor: ExecutorMode) -> Self {
-        self.executor = executor;
         self
     }
 
@@ -564,7 +554,7 @@ where
     let map_results: Vec<MapTaskOut<K, V>> = pool::run_indexed_observed(
         num_map_tasks,
         threads,
-        spec.executor,
+        ExecutorMode::WorkStealing,
         spec.tracer
             .is_enabled()
             .then_some(&on_map_steal as pool::StealObserver<'_>),
@@ -802,7 +792,7 @@ where
     let reduce_results: Vec<ReduceTaskOut<K, O>> = pool::run_indexed_observed(
         sources.len(),
         threads,
-        spec.executor,
+        ExecutorMode::WorkStealing,
         spec.tracer
             .is_enabled()
             .then_some(&on_reduce_steal as pool::StealObserver<'_>),
@@ -1690,23 +1680,6 @@ mod tests {
             "merge must shrink the values the reducer touches"
         );
         assert_eq!(counts(row), counts(merged));
-    }
-
-    #[test]
-    fn executor_modes_agree() {
-        let docs: Vec<String> = (0..400)
-            .map(|i| format!("w{} x{}", i % 31, i % 5))
-            .collect();
-        let stealing = run_word_count(&word_count_spec(3).with_map_tasks(8), &docs, false);
-        let static_spec = word_count_spec(3)
-            .with_map_tasks(8)
-            .with_executor(ExecutorMode::Static);
-        let fixed = run_word_count(&static_spec, &docs, false);
-        assert_eq!(
-            stealing.metrics.map.records_in,
-            fixed.metrics.map.records_in
-        );
-        assert_eq!(counts(stealing), counts(fixed));
     }
 
     #[test]

@@ -61,7 +61,6 @@
 
 pub mod block;
 pub mod bnl;
-pub mod dnc;
 pub mod dominance;
 pub mod error;
 pub mod filter;
@@ -74,7 +73,6 @@ pub mod metrics;
 pub mod parallel;
 pub mod partition;
 pub mod point;
-pub mod progressive;
 pub mod ranking;
 pub mod representative;
 pub mod salsa;
@@ -86,7 +84,6 @@ pub mod topk;
 
 pub use block::PointBlock;
 pub use bnl::{bnl_skyline, bnl_skyline_stats, BnlConfig, BnlStats};
-pub use dnc::{dnc_skyline, dnc_skyline_stats, DncStats};
 pub use dominance::{dominates, strictly_dominates, DomCounter, DomRelation};
 pub use error::SkylineError;
 pub use filter::{filtered_out, select_filter_points};
@@ -102,7 +99,6 @@ pub use partition::{
     GridPartitioner, PartitionSpace, RandomPartitioner, SpacePartitioner,
 };
 pub use point::Point;
-pub use progressive::ProgressiveSkyline;
 pub use ranking::WeightedScore;
 pub use representative::{distance_based_representatives, max_dominance_representatives};
 pub use salsa::{block_salsa, block_salsa_stats};
@@ -116,13 +112,10 @@ pub use topk::{dominance_counts, top_k_dominating, DominatingEntry};
 pub mod prelude {
     pub use crate::block::PointBlock;
     pub use crate::bnl::{bnl_skyline, bnl_skyline_stats, BnlConfig, BnlStats};
-    pub use crate::dnc::dnc_skyline;
     pub use crate::dominance::{dominates, strictly_dominates, DomCounter, DomRelation};
     pub use crate::hypersphere::{to_hyperspherical, HyperPoint};
     pub use crate::kdominant::{k_dominant_skyline, k_dominates};
     pub use crate::kernel::{block_bnl, block_sfs, dominates_row, presort_merge};
-    pub use crate::salsa::block_salsa;
-    pub use crate::select::{BlockKernel, KernelChoice};
     pub use crate::metrics::local_skyline_optimality;
     pub use crate::parallel::{parallel_skyline, parallel_skyline_partitioned};
     pub use crate::partition::{
@@ -130,11 +123,12 @@ pub mod prelude {
         PartitionSpace, RandomPartitioner, SpacePartitioner,
     };
     pub use crate::point::Point;
-    pub use crate::progressive::ProgressiveSkyline;
     pub use crate::ranking::WeightedScore;
     pub use crate::representative::{
         distance_based_representatives, max_dominance_representatives,
     };
+    pub use crate::salsa::block_salsa;
+    pub use crate::select::{BlockKernel, KernelChoice};
     pub use crate::seq::naive_skyline;
     pub use crate::sfs::sfs_skyline;
     pub use crate::skyband::{DeleteOutcome, SkybandBuffer};

@@ -244,7 +244,7 @@ pub enum EventKind {
     },
     /// One skyline kernel invocation (local computation or merge).
     KernelRun {
-        /// Kernel name (`bnl`, `sfs`, `salsa`, `dnc`, `presort-merge`).
+        /// Kernel name (`bnl`, `sfs`, `salsa`, `presort-merge`).
         /// Under `--kernel auto` this is the kernel the selector chose for
         /// the block, never the literal `auto`.
         kernel: String,

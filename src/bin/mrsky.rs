@@ -111,7 +111,7 @@ original QWS v2 dataset file (9 QoS columns + name + WSDL).
 
 Pruning knobs (skyline / compare / sweep):
   --kernel NAME           local-skyline kernel: bnl (default), sfs, salsa,
-                          dnc, or auto (per-partition cost-model selection)
+                          or auto (per-partition cost-model selection)
   --filter-k N            broadcast N filter points to the map tasks and drop
                           dominated rows before the shuffle (default: 8*dims,
                           at least 16)
@@ -121,10 +121,6 @@ Pruning knobs (skyline / compare / sweep):
                           reduce tasks finish, removing the reduce barrier
 
 Scale knobs (skyline / compare / sweep):
-  --row-shuffle           disable the zero-copy block shuffle and ship every
-                          routed block as a separate value (seed semantics)
-  --static-executor       disable work stealing; assign fixed task chunks to
-                          host threads
   --spill-budget BYTES    spill reduce inputs larger than BYTES to disk after
                           the shuffle and reload them just-in-time
   --spill-dir DIR         directory for spill files (default: system temp)
@@ -145,6 +141,8 @@ Fault injection & recovery (skyline):
   --checkpoint-dir DIR    persist per-partition local skylines for resume
   --resume                restore finished partitions from --checkpoint-dir
                           instead of recomputing them
+
+`mrsky skyline|compare|sweep` reject any flag not listed for them above.
 
 `mrsky trace` replays a recorded JSONL trace: --summary renders per-phase
 task/retry/speculation tables, --chrome converts to a Perfetto-loadable
@@ -187,6 +185,52 @@ fn flag_usize(args: &[String], name: &str, default: usize) -> Result<usize, Stri
     }
 }
 
+/// Value-taking flags every pipeline command (`skyline`, `compare`,
+/// `sweep`) accepts: input, cluster size, pruning, scale and trace knobs.
+const RUN_VALUE_FLAGS: &[&str] = &[
+    "--data",
+    "--qws-file",
+    "--servers",
+    "--kernel",
+    "--filter-k",
+    "--spill-budget",
+    "--spill-dir",
+    "--trace",
+    "--trace-format",
+];
+
+/// Valueless switches every pipeline command accepts.
+const RUN_SWITCHES: &[&str] = &[
+    "--no-filter",
+    "--no-sector-prune",
+    "--streaming-merge",
+    "--metrics",
+];
+
+/// Fails on the first `--flag` that neither the shared pipeline flags nor
+/// the command's own `values` / `switches` name, so a mistyped or retired
+/// flag cannot silently run the default configuration. The argument after
+/// a value-taking flag is its value, exactly as [`flag`] reads it.
+fn reject_unknown_flags(
+    command: &str,
+    args: &[String],
+    values: &[&str],
+    switches: &[&str],
+) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        let a = a.as_str();
+        if RUN_VALUE_FLAGS.contains(&a) || values.contains(&a) {
+            rest.next();
+        } else if a.starts_with("--") && !RUN_SWITCHES.contains(&a) && !switches.contains(&a) {
+            return Err(format!(
+                "unknown flag `{a}` for `mrsky {command}` (see `mrsky --help`)"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// The simulated cluster cannot exist with zero servers; refuse up front
 /// instead of letting `ClusterConfig` abort.
 fn flag_servers(args: &[String]) -> Result<usize, String> {
@@ -222,7 +266,7 @@ fn pruning_opts(args: &[String]) -> Result<AlgoConfig, String> {
     let mut config = AlgoConfig::default();
     if let Some(k) = flag(args, "--kernel") {
         config.kernel = LocalKernel::parse(&k)
-            .ok_or_else(|| format!("unknown kernel `{k}` (expected bnl|sfs|salsa|dnc|auto)"))?;
+            .ok_or_else(|| format!("unknown kernel `{k}` (expected bnl|sfs|salsa|auto)"))?;
     }
     if let Some(k) = flag(args, "--filter-k") {
         let k: usize = k
@@ -238,12 +282,6 @@ fn pruning_opts(args: &[String]) -> Result<AlgoConfig, String> {
     }
     if args.iter().any(|a| a == "--streaming-merge") {
         config.streaming_merge = true;
-    }
-    if args.iter().any(|a| a == "--row-shuffle") {
-        config.owned_shuffle = false;
-    }
-    if args.iter().any(|a| a == "--static-executor") {
-        config.static_executor = true;
     }
     if let Some(b) = flag(args, "--spill-budget") {
         let b: u64 = b
@@ -392,6 +430,18 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_skyline(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags(
+        "skyline",
+        args,
+        &[
+            "--algorithm",
+            "--chaos-profile",
+            "--chaos-seed",
+            "--chaos-kill-after",
+            "--checkpoint-dir",
+        ],
+        &["--force", "--resume"],
+    )?;
     let data = load_data(args)?;
     let algorithm = parse_algorithm(&flag(args, "--algorithm").unwrap_or_else(|| "angle".into()))?;
     let servers = flag_servers(args)?;
@@ -461,6 +511,7 @@ fn cmd_skyline(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags("compare", args, &[], &[])?;
     let data = load_data(args)?;
     let servers = flag_servers(args)?;
     let topts = trace_opts(args)?;
@@ -476,6 +527,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags("sweep", args, &["--algorithm"], &["--json"])?;
     let data = load_data(args)?;
     let algorithm = parse_algorithm(&flag(args, "--algorithm").unwrap_or_else(|| "angle".into()))?;
     let servers: Vec<usize> = flag(args, "--servers")

@@ -1,5 +1,5 @@
 //! Property-based exactness proofs for the pluggable local kernels: SFS,
-//! SaLSa, DnC, and the `Auto` selector must return *bit-identical* global
+//! SaLSa, and the `Auto` selector must return *bit-identical* global
 //! skylines to the BNL oracle — across all four distribution families,
 //! every partitioning scheme, and chaos fault interleavings. A kernel may
 //! only reorder or skip comparisons, never change the answer.
@@ -10,9 +10,9 @@ use mr_skyline_suite::qws::{
     generate_qws, generate_synthetic, Dataset, Distribution, QwsConfig, SyntheticConfig,
 };
 use mr_skyline_suite::skyline::block::PointBlock;
+use mr_skyline_suite::skyline::bnl::BnlConfig;
 use mr_skyline_suite::skyline::kernel::{block_bnl, block_sfs};
 use mr_skyline_suite::skyline::salsa::block_salsa;
-use mr_skyline_suite::skyline::bnl::BnlConfig;
 use mr_skyline_suite::skyline::select::{BlockKernel, KernelChoice};
 use proptest::prelude::*;
 use std::sync::Once;
@@ -64,11 +64,10 @@ fn block_fingerprint(block: &PointBlock) -> Vec<(u64, Vec<u64>)> {
     rows
 }
 
-const ALL_KERNELS: [LocalKernel; 5] = [
+const ALL_KERNELS: [LocalKernel; 4] = [
     LocalKernel::Bnl,
     LocalKernel::Sfs,
     LocalKernel::Salsa,
-    LocalKernel::Dnc,
     LocalKernel::Auto,
 ];
 

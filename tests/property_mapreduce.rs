@@ -59,7 +59,7 @@ proptest! {
     #[test]
     fn kernels_and_windows_agree(data in arb_dataset(), window in 1usize..40) {
         let oracle = naive_skyline_ids(data.points());
-        for kernel in [LocalKernel::Bnl, LocalKernel::Sfs, LocalKernel::Dnc] {
+        for kernel in [LocalKernel::Bnl, LocalKernel::Sfs, LocalKernel::Salsa] {
             let mut job = SkylineJob::new(Algorithm::MrAngle, 2);
             job.config.kernel = kernel;
             job.config.bnl_window = Some(window);
