@@ -17,6 +17,7 @@
 //! | `relaxed-ordering-audit` | `Ordering::Relaxed` outside a pure counter | needs an `// ORDERING:` comment justifying why relaxed is enough |
 //! | `raw-sync-primitive` | `std::sync` primitives in facaded crates | the four model-checked crates must go through `mrsky_model::sync` |
 //! | `bounded-channel-only` | `mpsc::channel(` / `unbounded(` / `SegQueue` on request-path crates | an unbounded queue turns overload into unbounded memory growth; the serving path must shed with a typed `Overloaded` rejection instead |
+//! | `oracle-independence` | `skyline_algos::{sfs, salsa, kernel, block, bnl, dominance}` in `crates/core/src/validate.rs` | the validator is the oracle for those kernels; sharing their code would let a kernel bug validate itself |
 //!
 //! Tokens inside `#[cfg(test)]` regions are exempt (tests may assert
 //! freely). Existing debt is recorded in an allowlist file
@@ -223,6 +224,13 @@ const ALLOWED_SYNC_LEAVES: &[&str] = &["Arc", "Weak", "OnceLock", "LazyLock"];
 /// bump on the same line (`fetch_add`/`fetch_sub`) — the canonical
 /// can't-go-wrong use — otherwise it needs a justification comment.
 const COUNTER_OPS: &[&str] = &["fetch_add", "fetch_sub"];
+
+/// The skyline validator: the oracle every kernel is checked against.
+const ORACLE_FILE: &str = "crates/core/src/validate.rs";
+
+/// `skyline_algos` modules the oracle may not use: the local kernels
+/// and the dominance code they share.
+const KERNEL_MODULES: &[&str] = &["sfs", "salsa", "kernel", "block", "bnl", "dominance"];
 
 /// How many lines above an `unsafe` token a `SAFETY:` comment may sit.
 const SAFETY_LOOKBACK_LINES: usize = 6;
@@ -464,7 +472,14 @@ impl FileScan<'_, '_> {
                     && self.is_ident(j, 3, "sync")
                     && self.is_path_sep(j, 4) =>
             {
-                self.raw_sync_at(j + 6);
+                self.path_segments_at(j + 6, "raw-sync-primitive", |name| {
+                    name != "self" && !ALLOWED_SYNC_LEAVES.contains(&name)
+                });
+            }
+            "skyline_algos" if self.rel == ORACLE_FILE && self.is_path_sep(j, 1) => {
+                self.path_segments_at(j + 3, "oracle-independence", |name| {
+                    KERNEL_MODULES.contains(&name)
+                });
             }
             "parking_lot" | "crossbeam" if in_scope(self.rel, RAW_SYNC_SCOPE) => {
                 self.push("raw-sync-primitive", line);
@@ -494,15 +509,16 @@ impl FileScan<'_, '_> {
         }
     }
 
-    /// Flags disallowed segments after `std::sync::` at code position
-    /// `j`: a bare segment (`std::sync::Mutex`, `std::sync::atomic`) or
-    /// the first-level segments of a brace group
-    /// (`std::sync::{Arc, Mutex}` flags `Mutex` only).
-    fn raw_sync_at(&mut self, j: usize) {
+    /// Flags `banned` segments of a path after its prefix (say
+    /// `std::sync::`), at code position `j`: a bare segment
+    /// (`std::sync::Mutex`, `std::sync::atomic`) or the first-level
+    /// segments of a brace group (`std::sync::{Arc, Mutex}` flags `Mutex`
+    /// only).
+    fn path_segments_at(&mut self, j: usize, rule: &'static str, banned: impl Fn(&str) -> bool) {
         let Some(t) = self.at(j, 0) else { return };
         if t.kind == TokenKind::Ident {
-            if !ALLOWED_SYNC_LEAVES.contains(&t.text) {
-                self.push("raw-sync-primitive", t.line);
+            if banned(t.text) {
+                self.push(rule, t.line);
             }
             return;
         }
@@ -527,8 +543,8 @@ impl FileScan<'_, '_> {
                 (TokenKind::Punct, ",") => segment_head = bd == 1,
                 (TokenKind::Ident, name) if segment_head => {
                     segment_head = false;
-                    if name != "self" && !ALLOWED_SYNC_LEAVES.contains(&name) {
-                        self.push("raw-sync-primitive", t.line);
+                    if banned(name) {
+                        self.push(rule, t.line);
                     }
                 }
                 _ => {}
@@ -838,6 +854,37 @@ fn f(b: &AtomicBool) {
             rules(&scan("crates/trace/src/a.rs", "use parking_lot::Mutex;\n")),
             vec!["raw-sync-primitive"]
         );
+    }
+
+    #[test]
+    fn oracle_independence_flags_kernel_paths_in_the_validator_only() {
+        let oracle = "crates/core/src/validate.rs";
+        let hit =
+            |src: &str| -> Vec<&'static str> { scan(oracle, src).iter().map(|f| f.rule).collect() };
+        assert_eq!(
+            hit("use skyline_algos::sfs::sfs_skyline;\n"),
+            vec!["oracle-independence"]
+        );
+        assert_eq!(
+            hit("fn f(p: &Point, q: &Point) -> bool { skyline_algos::dominance::dominates(p, q) }\n"),
+            vec!["oracle-independence"]
+        );
+        // Brace groups flag only the kernel segments.
+        assert_eq!(
+            hit("use skyline_algos::{point::Point, block::PointBlock, bnl};\n"),
+            vec!["oracle-independence", "oracle-independence"]
+        );
+        // The point type and other modules are fine, and so are tests.
+        assert!(hit("use skyline_algos::point::Point;\n").is_empty());
+        assert!(
+            hit("#[cfg(test)]\nmod tests { use skyline_algos::sfs::sfs_skyline; }\n").is_empty()
+        );
+        // Other files may use the kernels.
+        assert!(scan(
+            "crates/core/src/driver.rs",
+            "use skyline_algos::sfs::sfs_skyline;\n"
+        )
+        .is_empty());
     }
 
     #[test]

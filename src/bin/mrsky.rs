@@ -100,6 +100,7 @@ USAGE:
   mrsky insight  [--critical-path] [--stragglers] [--skew] [--what-if-speculation] FILE
   mrsky chaos    plan --profile light|heavy [--seed 42] [--kill-after N] [--out FILE]
   mrsky chaos    replay --plan FILE --data FILE [--algorithm angle] [--servers 8]
+                 [--checkpoint-dir DIR] [--trace FILE]
   mrsky loadgen  [--seed 7] [--tenants 3] [--ops 400] [--dim 3] [--out FILE]
   mrsky serve    [--ops 400] [--seed 7] [--tenants 3] [--dim 3] [--skyband-k 4]
                  [--max-attempts N] [--breaker-threshold 3]
@@ -125,7 +126,7 @@ Scale knobs (skyline / compare / sweep):
                           the shuffle and reload them just-in-time
   --spill-dir DIR         directory for spill files (default: system temp)
 
-Observability (skyline / compare / sweep):
+Observability (skyline / compare / sweep; chaos replay takes them too):
   --trace FILE            record a structured event trace of the run
   --trace-format FORMAT   jsonl (replayable, default) or chrome
                           (load in Perfetto / chrome://tracing)
@@ -505,7 +506,10 @@ fn cmd_skyline(args: &[String]) -> Result<(), String> {
         report.peak_map_out_bytes(),
         report.peak_reduce_in_bytes()
     );
-    validate_report(&report, &data).map_err(|e| format!("result failed validation: {e}"))?;
+    topts
+        .tracer
+        .span("driver.validate", || validate_report(&report, &data))
+        .map_err(|e| format!("result failed validation: {e}"))?;
     println!("validated against the independent oracle.");
     topts.finish()
 }
@@ -663,7 +667,7 @@ fn cmd_insight(args: &[String]) -> Result<(), String> {
 fn cmd_chaos(args: &[String]) -> Result<(), String> {
     let usage = "usage: mrsky chaos plan --profile light|heavy [--seed 42] [--kill-after N] \
                  [--out FILE]\n       mrsky chaos replay --plan FILE --data FILE \
-                 [--algorithm angle] [--servers 8] [--checkpoint-dir DIR]";
+                 [--algorithm angle] [--servers 8] [--checkpoint-dir DIR] [--trace FILE]";
     match args.first().map(String::as_str) {
         Some("plan") => {
             let rest = &args[1..];
@@ -713,7 +717,10 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
                 plan.rules.len(),
                 plan.max_attempts
             );
-            let mut job = SkylineJob::new(algorithm, servers).with_chaos(plan);
+            let topts = trace_opts(rest)?;
+            let mut job = SkylineJob::new(algorithm, servers)
+                .with_tracer(topts.tracer.clone())
+                .with_chaos(plan);
             if let Some(dir) = checkpoint_dir {
                 job = job.with_checkpoints(dir);
             }
@@ -724,10 +731,12 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
                 )
             })?;
             println!("{}", report.summary());
-            validate_report(&report, &data)
+            topts
+                .tracer
+                .span("driver.validate", || validate_report(&report, &data))
                 .map_err(|e| format!("chaos run diverged from the fault-free oracle: {e}"))?;
             println!("chaos run matches the fault-free oracle exactly.");
-            Ok(())
+            topts.finish()
         }
         _ => Err(usage.into()),
     }
