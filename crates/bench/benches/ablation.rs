@@ -81,7 +81,8 @@ fn bench_incremental_vs_batch(c: &mut Criterion) {
         });
     });
     group.bench_function("batch_recompute_each_event", |b| {
-        use skyline_algos::bnl::{bnl_skyline, BnlConfig};
+        use skyline_algos::block::PointBlock;
+        use skyline_algos::kernel::{block_bnl, BnlConfig};
         b.iter(|| {
             // replay the stream, recomputing the skyline from scratch after
             // every event — the "traditional approach" of the paper's Sec. II
@@ -96,7 +97,8 @@ fn bench_incremental_vs_batch(c: &mut Criterion) {
                         }
                     }
                 }
-                total += bnl_skyline(&live, &BnlConfig::default()).len();
+                let block = PointBlock::from_points(&live).expect("uniform dims");
+                total += block_bnl(&block, &BnlConfig::default()).len();
             }
             total
         });

@@ -1,5 +1,6 @@
-//! Skyline kernel shoot-out: BNL (the paper's choice) vs SFS vs SaLSa,
-//! across the three classic data distributions.
+//! Skyline kernel shoot-out: the block BNL (the paper's choice) vs SFS vs
+//! SaLSa vs the `Auto` selector, across the three classic data
+//! distributions, plus the columnar-vs-AoS dominance sweep.
 //!
 //! This is the evidence behind DESIGN.md's "local kernel" ablation: on
 //! correlated (QWS-like) data the kernels are close; on anti-correlated data
@@ -7,18 +8,14 @@
 //! matters for the memory model even though the paper picked BNL "for its
 //! simplicity".
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use qws_data::{generate_synthetic, Distribution, SyntheticConfig};
 use skyline_algos::block::PointBlock;
-use skyline_algos::bnl::{bnl_skyline, BnlConfig};
 use skyline_algos::dominance::dominates;
-use skyline_algos::kernel::{block_bnl_stats, block_sfs_stats, dominated_count};
-use skyline_algos::parallel::{parallel_skyline, parallel_skyline_partitioned};
-use skyline_algos::partition::AnglePartitioner;
+use skyline_algos::kernel::{block_bnl_stats, block_sfs_stats, dominated_count, BnlConfig};
 use skyline_algos::point::Point;
 use skyline_algos::salsa::block_salsa_stats;
 use skyline_algos::select::{correlation_estimate, KernelChoice};
-use skyline_algos::sfs::sfs_skyline;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -26,72 +23,6 @@ fn dataset(dist: Distribution, n: usize, d: usize) -> Vec<Point> {
     generate_synthetic(&SyntheticConfig::new(n, d, dist))
         .points()
         .to_vec()
-}
-
-fn bench_kernels(c: &mut Criterion) {
-    let n = 4000;
-    let d = 4;
-    for dist in [
-        Distribution::Correlated,
-        Distribution::Independent,
-        Distribution::AntiCorrelated,
-    ] {
-        let pts = dataset(dist, n, d);
-        let mut group = c.benchmark_group(format!("kernel/{}", dist.name()));
-        group.sample_size(10);
-        group.bench_with_input(BenchmarkId::new("bnl", n), &pts, |b, pts| {
-            b.iter(|| bnl_skyline(pts, &BnlConfig::default()).len());
-        });
-        group.bench_with_input(BenchmarkId::new("bnl_w256", n), &pts, |b, pts| {
-            b.iter(|| bnl_skyline(pts, &BnlConfig::with_window(256)).len());
-        });
-        group.bench_with_input(BenchmarkId::new("sfs", n), &pts, |b, pts| {
-            b.iter(|| sfs_skyline(pts).len());
-        });
-        group.finish();
-    }
-}
-
-fn bench_bnl_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bnl_scaling_qws");
-    group.sample_size(10);
-    for n in [1000usize, 4000, 16000] {
-        let pts = qws_data::generate_qws(&qws_data::QwsConfig::new(n, 6))
-            .points()
-            .to_vec();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &pts, |b, pts| {
-            b.iter(|| bnl_skyline(pts, &BnlConfig::default()).len());
-        });
-    }
-    group.finish();
-}
-
-fn bench_parallel(c: &mut Criterion) {
-    let pts = qws_data::generate_qws(&qws_data::QwsConfig::new(30_000, 6))
-        .points()
-        .to_vec();
-    let mut group = c.benchmark_group("parallel_skyline");
-    group.sample_size(10);
-    group.bench_function("single_thread", |b| {
-        b.iter(|| bnl_skyline(&pts, &BnlConfig::default()).len());
-    });
-    for threads in [2usize, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("block_chunks", threads),
-            &threads,
-            |b, &t| b.iter(|| parallel_skyline(&pts, t).expect("parallel skyline").len()),
-        );
-    }
-    let part = AnglePartitioner::fit_quantile(&pts, 16).unwrap();
-    group.bench_function("angular_chunks_8t", |b| {
-        b.iter(|| {
-            parallel_skyline_partitioned(&pts, &part, 8)
-                .expect("partitioned skyline")
-                .0
-                .len()
-        });
-    });
-    group.finish();
 }
 
 // ---- columnar vs AoS dominance sweep (the PointBlock tentpole) ----
@@ -393,12 +324,5 @@ fn bench_kernel_matrix(_c: &mut Criterion) {
     }
 }
 
-criterion_group!(
-    benches,
-    bench_block_vs_aos,
-    bench_kernel_matrix,
-    bench_kernels,
-    bench_bnl_scaling,
-    bench_parallel
-);
+criterion_group!(benches, bench_block_vs_aos, bench_kernel_matrix);
 criterion_main!(benches);

@@ -16,7 +16,8 @@
 
 use mr_skyline_bench::arg_usize;
 use qws_data::{generate_qws, QwsConfig};
-use skyline_algos::bnl::{bnl_skyline, BnlConfig};
+use skyline_algos::block::PointBlock;
+use skyline_algos::kernel::{block_bnl, BnlConfig};
 use skyline_algos::partition::{
     AnglePartitioner, DimPartitioner, GridPartitioner, SpacePartitioner,
 };
@@ -76,9 +77,14 @@ fn main() {
     let points = data.points();
 
     // Figure 1: dots + skyline contour
-    let skyline: HashSet<u64> = bnl_skyline(points, &BnlConfig::default())
+    let mut block = PointBlock::with_capacity(data.dim(), points.len());
+    for p in points {
+        block.push_point(p);
+    }
+    let skyline: HashSet<u64> = block_bnl(&block, &BnlConfig::default())
+        .ids()
         .iter()
-        .map(Point::id)
+        .copied()
         .collect();
     let mut canvas = Canvas::new(points);
     for p in points {

@@ -22,8 +22,6 @@ use mrsky_trace::json::{self, JsonValue};
 /// A named fault-injection site in the execution stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum FaultSite {
-    /// A chunk task inside `skyline::parallel` (worker thread kernel run).
-    ParallelChunk,
     /// A simulated-DFS block read feeding a map task.
     DfsRead,
     /// A map task attempt (fails mid-map, discarding partial output).
@@ -40,8 +38,7 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// All sites, for profile construction and property generators.
-    pub const ALL: [FaultSite; 7] = [
-        FaultSite::ParallelChunk,
+    pub const ALL: [FaultSite; 6] = [
         FaultSite::DfsRead,
         FaultSite::MapTask,
         FaultSite::ShuffleFetch,
@@ -53,7 +50,6 @@ impl FaultSite {
     /// Stable wire name.
     pub fn as_str(self) -> &'static str {
         match self {
-            FaultSite::ParallelChunk => "parallel-chunk",
             FaultSite::DfsRead => "dfs-read",
             FaultSite::MapTask => "map-task",
             FaultSite::ShuffleFetch => "shuffle-fetch",
@@ -70,7 +66,6 @@ impl FaultSite {
 
     fn tag(self) -> u64 {
         match self {
-            FaultSite::ParallelChunk => 0x6368_756e,
             FaultSite::DfsRead => 0x6466_7372,
             FaultSite::MapTask => 0x6d61_7074,
             FaultSite::ShuffleFetch => 0x7368_6666,
@@ -193,16 +188,6 @@ impl FaultPlan {
             seed,
             rules: vec![
                 SiteRule {
-                    site: FaultSite::ParallelChunk,
-                    kind: FaultKind::TransientError,
-                    permille: 80,
-                },
-                SiteRule {
-                    site: FaultSite::ParallelChunk,
-                    kind: FaultKind::Panic,
-                    permille: 40,
-                },
-                SiteRule {
                     site: FaultSite::DfsRead,
                     kind: FaultKind::TransientError,
                     permille: 100,
@@ -233,7 +218,6 @@ impl FaultPlan {
         let mut rules = Vec::new();
         for site in FaultSite::ALL {
             let kinds: &[FaultKind] = match site {
-                FaultSite::ParallelChunk => &[FaultKind::Panic, FaultKind::TransientError],
                 FaultSite::DfsRead => &[FaultKind::TransientError],
                 FaultSite::MapTask => &[FaultKind::Panic, FaultKind::TransientError],
                 FaultSite::ShuffleFetch => &[FaultKind::DropRecord, FaultKind::CorruptRecord],
@@ -397,6 +381,13 @@ impl FaultPlan {
                 .get("site")
                 .and_then(JsonValue::as_str)
                 .ok_or_else(|| format!("rule {i}: missing `site`"))?;
+            // `parallel-chunk` named the retired shared-memory engine. No
+            // pipeline or serve path ever drew a fault there, and `decide`
+            // hashes each site on its own, so dropping such rules replays
+            // a plan written before the site was retired exactly.
+            if site_name == "parallel-chunk" {
+                continue;
+            }
             let site = FaultSite::parse(site_name)
                 .ok_or_else(|| format!("rule {i}: unknown site `{site_name}`"))?;
             let kind_name = item
@@ -463,7 +454,7 @@ mod tests {
     fn final_attempt_never_faults() {
         let plan = FaultPlan {
             rules: vec![SiteRule {
-                site: FaultSite::ParallelChunk,
+                site: FaultSite::MapTask,
                 kind: FaultKind::Panic,
                 permille: 999,
             }],
@@ -471,10 +462,10 @@ mod tests {
             ..FaultPlan::off()
         };
         for i in 0..500 {
-            assert_eq!(plan.decide(FaultSite::ParallelChunk, "s", i, 2), None);
+            assert_eq!(plan.decide(FaultSite::MapTask, "s", i, 2), None);
         }
         // earlier attempts do fault at this rate
-        assert!((0..500).any(|i| plan.decide(FaultSite::ParallelChunk, "s", i, 0).is_some()));
+        assert!((0..500).any(|i| plan.decide(FaultSite::MapTask, "s", i, 0).is_some()));
     }
 
     #[test]
@@ -516,7 +507,7 @@ mod tests {
         let p2 = FaultPlan::light(2);
         let pat = |p: &FaultPlan| {
             (0..300)
-                .map(|i| p.decide(FaultSite::ParallelChunk, "s", i, 0).is_some())
+                .map(|i| p.decide(FaultSite::DfsRead, "s", i, 0).is_some())
                 .collect::<Vec<_>>()
         };
         assert_ne!(pat(&p1), pat(&p2));
@@ -551,6 +542,19 @@ mod tests {
         )
         .unwrap();
         assert_eq!(legacy.backoff.jitter, 0.0);
+        // rules at the retired `parallel-chunk` site are dropped on parse
+        let legacy = FaultPlan::from_json(
+            r#"{"seed":1,"max_attempts":4,"backoff_base":0.1,"backoff_factor":2.0,"rules":[{"site":"parallel-chunk","kind":"panic","permille":40},{"site":"map-task","kind":"panic","permille":60}]}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            legacy.rules,
+            vec![SiteRule {
+                site: FaultSite::MapTask,
+                kind: FaultKind::Panic,
+                permille: 60,
+            }]
+        );
         assert!(FaultPlan::from_json(
             r#"{"seed":1,"max_attempts":4,"backoff_base":0.1,"backoff_factor":2.0,"backoff_jitter":1.5,"rules":[]}"#,
         )
@@ -570,10 +574,31 @@ mod tests {
         assert!(q.iter().any(Option::is_some));
         assert_ne!(m, q);
         // growing ALL must not perturb decisions at the original sites
-        let chunk: Vec<_> = (0..200)
-            .map(|i| plan.decide(FaultSite::ParallelChunk, "s", i, 0).is_some())
+        let map: Vec<_> = (0..200)
+            .map(|i| plan.decide(FaultSite::MapTask, "s", i, 0).is_some())
             .collect();
-        assert!(chunk.iter().any(|&b| b));
+        assert!(map.iter().any(|&b| b));
+    }
+
+    #[test]
+    fn dropping_a_site_leaves_every_other_schedule_unchanged() {
+        // `decide` hashes each rule on its own site tag, so removing every
+        // rule of one site must not move a single decision elsewhere.
+        for full in [FaultPlan::light(5), FaultPlan::heavy(5)] {
+            for dropped in FaultSite::ALL {
+                let mut thinned = full.clone();
+                thinned.rules.retain(|r| r.site != dropped);
+                for site in FaultSite::ALL.into_iter().filter(|&s| s != dropped) {
+                    for i in 0..200 {
+                        assert_eq!(
+                            thinned.decide(site, "job", i, 0),
+                            full.decide(site, "job", i, 0),
+                            "dropping {dropped} moved {site} op {i}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,10 +36,11 @@ use mrsky_chaos::{FaultPlan, KillSwitch, KILL_PAYLOAD};
 use mrsky_trace::{EventKind, Tracer};
 use qws_data::Dataset;
 use skyline_algos::block::PointBlock;
-use skyline_algos::bnl::BnlConfig;
 use skyline_algos::filter::{filtered_out, select_filter_points};
 use skyline_algos::incremental::{SharedStreamingMerge, StreamingMerge};
-use skyline_algos::kernel::{block_bnl_stats, block_sfs_stats, presort_merge_stats, KernelStats};
+use skyline_algos::kernel::{
+    block_bnl_stats, block_sfs_stats, presort_merge_stats, BnlConfig, KernelStats,
+};
 use skyline_algos::partition::{witness_prunable, SpacePartitioner};
 use skyline_algos::point::Point;
 use skyline_algos::salsa::block_salsa_stats;

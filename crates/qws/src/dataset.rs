@@ -104,6 +104,18 @@ impl Dataset {
                 .ok_or_else(|| bad_line(lineno))?;
             let coords: Result<Vec<f64>, _> = fields.map(|s| s.trim().parse::<f64>()).collect();
             let coords = coords.map_err(|_| bad_line(lineno))?;
+            if let Some(first) = points.first().map(Point::dim) {
+                if coords.len() != first {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!(
+                            "CSV line {} has {} coordinates, expected {first} like the first row",
+                            lineno + 1,
+                            coords.len()
+                        ),
+                    ));
+                }
+            }
             points.push(Point::try_new(id, coords).map_err(|_| bad_line(lineno))?);
         }
         if points.is_empty() {
@@ -247,6 +259,12 @@ mod tests {
         assert!(Dataset::load_csv("bad", &path).is_err());
         std::fs::write(&path, "").unwrap();
         assert!(Dataset::load_csv("empty", &path).is_err());
+        // rows of different widths fail on the first differing line (the
+        // blank line still counts towards the line number)
+        std::fs::write(&path, "0,1,2\n\n1,2,1,3\n2,1,1\n").unwrap();
+        let err = Dataset::load_csv("ragged", &path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("CSV line 3"), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -246,7 +246,7 @@ mod tests {
     fn skyline_is_nontrivial_fraction() {
         use skyline_algos::prelude::*;
         let d = generate_qws(&QwsConfig::new(2000, 4));
-        let sky = bnl_skyline(d.points(), &BnlConfig::default());
+        let sky = naive_skyline_ids(d.points());
         assert!(
             sky.len() > 3 && sky.len() < d.len() / 2,
             "skyline size {} of {}",
@@ -329,8 +329,8 @@ mod tests {
         use skyline_algos::prelude::*;
         let base = generate_qws(&QwsConfig::new(500, 6));
         let ext = extend_qws(&base, 5000, 0.05, 1);
-        let sky_base = bnl_skyline(base.points(), &BnlConfig::default()).len();
-        let sky_ext = bnl_skyline(ext.points(), &BnlConfig::default()).len();
+        let sky_base = naive_skyline_ids(base.points()).len();
+        let sky_ext = naive_skyline_ids(ext.points()).len();
         assert!(
             sky_ext > sky_base * 2,
             "expected skyline inflation under 10x jittered extension, got {sky_base} -> {sky_ext}"

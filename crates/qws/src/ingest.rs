@@ -721,7 +721,7 @@ mod tests {
         let path = write_fixture(&refs);
         let (data, _) = load_qws_file(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        let sky = bnl_skyline(data.points(), &BnlConfig::default());
+        let sky = naive_skyline_ids(data.points());
         assert!(!sky.is_empty() && sky.len() < data.len());
     }
 

@@ -286,11 +286,11 @@ mod tests {
         let data = r
             .category_dataset(Category::StockQuotes)
             .expect("non-empty");
-        let sky = bnl_skyline(data.points(), &BnlConfig::default());
+        let sky = naive_skyline_ids(data.points());
         assert!(!sky.is_empty());
         // every skyline id resolves back to a registry entry of the category
-        for p in &sky {
-            let e = r.get(p.id()).expect("skyline id resolves");
+        for &id in &sky {
+            let e = r.get(id).expect("skyline id resolves");
             assert_eq!(e.category, Category::StockQuotes);
         }
     }

@@ -120,7 +120,7 @@ mod tests {
 
     fn skyline_size(dist: Distribution, n: usize, d: usize) -> usize {
         let ds = generate_synthetic(&SyntheticConfig::new(n, d, dist));
-        bnl_skyline(ds.points(), &BnlConfig::default()).len()
+        naive_skyline_ids(ds.points()).len()
     }
 
     #[test]

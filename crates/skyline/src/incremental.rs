@@ -13,9 +13,8 @@
 //! the savings versus recomputation from scratch.
 
 use crate::block::PointBlock;
-use crate::bnl::{bnl_skyline_stats, BnlConfig};
 use crate::dominance::{DomCounter, DomRelation};
-use crate::kernel::compare_rows;
+use crate::kernel::{block_bnl_stats, compare_rows, BnlConfig};
 use crate::partition::SpacePartitioner;
 use crate::point::Point;
 use std::collections::HashSet;
@@ -207,11 +206,8 @@ impl<P: SpacePartitioner> IncrementalSkyline<P> {
             s.partitions[s.partitioner.partition_of(p)].push(p.clone());
         }
         s.len = points.len();
-        let cfg = BnlConfig::default();
         for i in 0..s.partitions.len() {
-            let (sky, stats) = bnl_skyline_stats(&s.partitions[i], &cfg);
-            s.counter.merge(&stats.counter);
-            s.local_skylines[i] = sky;
+            s.local_skylines[i] = bnl_points(&s.partitions[i], &mut s.counter);
         }
         s.rebuild_global();
         s
@@ -305,10 +301,8 @@ impl<P: SpacePartitioner> IncrementalSkyline<P> {
                 self.len -= 1;
                 let was_local = self.local_skylines[part].iter().any(|p| p.id() == id);
                 if was_local {
-                    let (sky, stats) =
-                        bnl_skyline_stats(&self.partitions[part], &BnlConfig::default());
-                    self.counter.merge(&stats.counter);
-                    self.local_skylines[part] = sky;
+                    self.local_skylines[part] =
+                        bnl_points(&self.partitions[part], &mut self.counter);
                     self.rebuild_global();
                 }
                 return true;
@@ -323,10 +317,31 @@ impl<P: SpacePartitioner> IncrementalSkyline<P> {
             .iter()
             .flat_map(|s| s.iter().cloned())
             .collect();
-        let (global, stats) = bnl_skyline_stats(&union, &BnlConfig::default());
-        self.counter.merge(&stats.counter);
-        self.global = global;
+        self.global = bnl_points(&union, &mut self.counter);
     }
+}
+
+/// Runs the unbounded [`block_bnl_stats`] over `points`, charging its
+/// comparisons to `counter`. The skyline comes back in the kernel's
+/// emission order.
+///
+/// # Panics
+///
+/// Panics if the points disagree on dimensionality.
+fn bnl_points(points: &[Point], counter: &mut DomCounter) -> Vec<Point> {
+    let Some(first) = points.first() else {
+        return Vec::new();
+    };
+    let mut block = PointBlock::with_capacity(first.dim(), points.len());
+    for p in points {
+        block.push_point(p);
+    }
+    let (sky, stats) = block_bnl_stats(&block, &BnlConfig::default());
+    counter.merge(&DomCounter::from_counts(
+        stats.comparisons,
+        stats.dim_weighted,
+    ));
+    sky.to_points()
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Feature-gated kernel invariant checks (`strict-invariants`).
 //!
-//! Every skyline kernel funnels its result through [`check_skyline`] before
-//! returning. With the `strict-invariants` cargo feature **off** (the
+//! Every skyline kernel funnels its result through [`check_skyline_block`]
+//! before returning. With the `strict-invariants` cargo feature **off** (the
 //! default) the call compiles to nothing; with it **on**, the result is
 //! verified against the definition of a skyline:
 //!
@@ -21,11 +21,12 @@
 
 #[cfg(feature = "strict-invariants")]
 use crate::dominance::dominates;
+#[cfg(feature = "strict-invariants")]
 use crate::point::Point;
 
 /// Asserts that `skyline` is exactly the skyline of `input`.
 ///
-/// No-op unless the `strict-invariants` feature is enabled.
+/// Compiled only with the `strict-invariants` feature.
 #[cfg(feature = "strict-invariants")]
 pub fn check_skyline(kernel: &'static str, input: &[Point], skyline: &[Point]) {
     use std::collections::HashSet;
@@ -72,14 +73,9 @@ pub fn check_skyline(kernel: &'static str, input: &[Point], skyline: &[Point]) {
     }
 }
 
-/// No-op stand-in compiled when `strict-invariants` is disabled.
-#[cfg(not(feature = "strict-invariants"))]
-#[inline(always)]
-pub fn check_skyline(_kernel: &'static str, _input: &[Point], _skyline: &[Point]) {}
-
-/// Columnar variant of [`check_skyline`]: verifies a [`PointBlock`] result
-/// against its block input. Conversion to `Point`s only happens when the
-/// feature is on, so block kernels pay nothing in release builds.
+/// Asserts that the block `skyline` is exactly the skyline of the block
+/// `input` (see `check_skyline`). Conversion to `Point`s only happens when
+/// the feature is on, so block kernels pay nothing in release builds.
 #[cfg(feature = "strict-invariants")]
 pub fn check_skyline_block(
     kernel: &'static str,

@@ -7,10 +7,10 @@
 //!   AoS [`crate::dominance`] versions early-exit, which is right for one
 //!   comparison but defeats vectorization; the branchless forms trade a few
 //!   redundant flops for straight-line SIMD-friendly code.
-//! * [`block_bnl`] — Block-Nested-Loops whose self-organising window lives
-//!   in one flat buffer (same multi-pass overflow + timestamp-emission
-//!   semantics as [`crate::bnl::bnl_skyline`], bit-for-bit the same result
-//!   set).
+//! * [`block_bnl`] — Block-Nested-Loops (Börzsönyi, Kossmann, Stocker,
+//!   ICDE 2001) whose self-organising window lives in one flat buffer, with
+//!   bounded-window multi-pass overflow handling. The paper uses BNL for
+//!   both the local skylines and the global merge (Algorithm 1).
 //! * [`block_sfs`] — columnar Sort-Filter-Skyline: entropy-score presort,
 //!   one stop-aware filtering pass, no evictions. The local-kernel sibling
 //!   of the merge below (see also [`crate::salsa`] and [`crate::select`]).
@@ -26,13 +26,39 @@
 //!   it, falling back to the portable row-wise scan otherwise.
 
 use crate::block::PointBlock;
-use crate::bnl::BnlConfig;
 use crate::dominance::DomRelation;
 
-/// Execution statistics of a block kernel run, mirroring the fields the
-/// cluster cost model consumes from [`crate::bnl::BnlStats`]. Fields are
-/// public so callers can fold them into their own accounting without an
-/// intermediate counter object.
+/// Configuration for a BNL run.
+#[derive(Debug, Clone, Default)]
+pub struct BnlConfig {
+    /// Maximum number of points held in the in-memory window; `None` means
+    /// unbounded (single pass, no overflow). The paper's Hadoop setting
+    /// bounds worker memory at 1 GB, which we model with a finite window.
+    pub window_size: Option<usize>,
+}
+
+impl BnlConfig {
+    /// Unbounded window.
+    pub fn unbounded() -> Self {
+        Self::default()
+    }
+
+    /// Window bounded to `n` points (multi-pass BNL).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`: a zero-size window cannot make progress.
+    pub fn with_window(n: usize) -> Self {
+        assert!(n > 0, "BNL window must hold at least one point");
+        Self {
+            window_size: Some(n),
+        }
+    }
+}
+
+/// Execution statistics of a block kernel run: the quantities the cluster
+/// cost model consumes. Fields are public so callers can fold them into
+/// their own accounting without an intermediate counter object.
 #[derive(Debug, Default, Clone)]
 pub struct KernelStats {
     /// Pairwise dominance comparisons performed.
@@ -302,7 +328,7 @@ impl FlatWindow {
     }
 
     /// Removes row `i` by moving the last row into its place (order is not
-    /// preserved, exactly like `Vec::swap_remove` in the AoS BNL).
+    /// preserved, exactly like `Vec::swap_remove`).
     fn swap_remove(&mut self, i: usize) {
         let last = self.len() - 1;
         if i != last {
@@ -317,8 +343,39 @@ impl FlatWindow {
 
 /// Computes the skyline of `block` with the blocked BNL kernel.
 ///
-/// Same algorithm, configuration and result set as
-/// [`crate::bnl::bnl_skyline`] — only the data layout differs.
+/// BNL streams the input once per *pass*, keeping a **window** of
+/// incomparable candidate rows:
+///
+/// * an incoming row dominated by any window row is discarded, and the
+///   killing window row moves to the front (the self-organising window:
+///   aggressive dominators are met early);
+/// * window rows dominated by the incoming row are evicted;
+/// * otherwise the row joins the window, or — if the window is full — is
+///   written to an *overflow* buffer to be processed in the next pass.
+///
+/// With a bounded window, a window row can only be emitted as a confirmed
+/// skyline row once it has been compared against **every** overflowed row.
+/// The classic timestamp argument: a row entering the window at (global)
+/// time `t_w` has been compared with every row read after `t_w`, so at the
+/// end of a pass it can be emitted iff `t_w` precedes the time the first
+/// row of that pass overflowed. All later window entries are retained for
+/// the next pass.
+///
+/// Rows with equal coordinates are all retained (none dominates the
+/// other), matching the set semantics of the dominance definition.
+///
+/// # Examples
+///
+/// ```
+/// use skyline_algos::block::PointBlock;
+/// use skyline_algos::kernel::{block_bnl, BnlConfig};
+///
+/// let mut services = PointBlock::new(2);
+/// services.push(0, &[100.0, 5.0]).unwrap(); // fast but pricey
+/// services.push(1, &[900.0, 1.0]).unwrap(); // slow but cheap
+/// services.push(2, &[950.0, 6.0]).unwrap(); // slow AND pricey: dominated
+/// assert_eq!(block_bnl(&services, &BnlConfig::default()).len(), 2);
+/// ```
 pub fn block_bnl(block: &PointBlock, cfg: &BnlConfig) -> PointBlock {
     block_bnl_stats(block, cfg).0
 }
@@ -358,7 +415,7 @@ pub fn block_bnl_stats(block: &PointBlock, cfg: &BnlConfig) -> (PointBlock, Kern
                 match compare_rows(window.row(i), input.row(idx)) {
                     DomRelation::LeftDominates => {
                         dominated = true;
-                        if cfg.move_to_front && i > 0 {
+                        if i > 0 {
                             window.swap(0, i);
                         }
                         break;
@@ -434,9 +491,9 @@ pub fn presort_merge(block: &PointBlock) -> PointBlock {
 /// only be dominated by an *earlier* row, so a survivor is final the moment
 /// it is accepted and equal-norm rows (including exact duplicates, which
 /// never dominate each other) all survive. This is the kernel the reduce-
-/// side merge and `parallel::merge_locals` use: merge inputs are unions of
-/// local skylines, mostly undominated, so the `O(n log n)` sort buys a
-/// filtering pass that does near-zero evictions.
+/// side merge uses: merge inputs are unions of local skylines, mostly
+/// undominated, so the `O(n log n)` sort buys a filtering pass that does
+/// near-zero evictions.
 pub fn presort_merge_stats(block: &PointBlock) -> (PointBlock, KernelStats) {
     let d = block.dim();
     let n = block.len();
@@ -558,7 +615,6 @@ pub fn block_sfs_stats(block: &PointBlock) -> (PointBlock, KernelStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bnl::bnl_skyline;
     use crate::dominance::{compare, dominates};
     use crate::point::Point;
     use crate::seq::naive_skyline_ids;
@@ -594,28 +650,86 @@ mod tests {
         }
     }
 
+    fn block_of(rows: &[&[f64]]) -> PointBlock {
+        let mut b = PointBlock::new(rows[0].len());
+        for (i, r) in rows.iter().enumerate() {
+            b.push(i as u64, r).unwrap();
+        }
+        b
+    }
+
+    fn bnl_ids(rows: &[&[f64]]) -> Vec<u64> {
+        sorted_ids(&block_bnl(&block_of(rows), &BnlConfig::default()))
+    }
+
     #[test]
-    fn block_bnl_matches_aos_bnl() {
+    fn block_bnl_matches_oracle() {
         for seed in 0..10 {
             let block = random_block(200, 3, seed, 8);
-            let points = block.to_points();
+            let oracle = naive_skyline_ids(&block.to_points());
             for cfg in [
                 BnlConfig::unbounded(),
                 BnlConfig::with_window(1),
                 BnlConfig::with_window(7),
             ] {
                 let (sky, stats) = block_bnl_stats(&block, &cfg);
-                let aos: Vec<u64> = {
-                    let mut v: Vec<u64> =
-                        bnl_skyline(&points, &cfg).iter().map(Point::id).collect();
-                    v.sort_unstable();
-                    v
-                };
-                assert_eq!(sorted_ids(&sky), aos, "seed {seed} cfg {cfg:?}");
+                assert_eq!(sorted_ids(&sky), oracle, "seed {seed} cfg {cfg:?}");
                 assert_eq!(stats.output_len, sky.len() as u64);
                 assert!(stats.comparisons > 0);
             }
         }
+    }
+
+    #[test]
+    fn block_bnl_paper_figure_one_contour() {
+        // Mimics Figure 1: s8 dominated, s1..s7 on the contour.
+        let ids = bnl_ids(&[
+            &[1.0, 9.0], // s1
+            &[2.0, 7.0], // s2
+            &[3.0, 5.0], // s3
+            &[4.5, 3.5], // s4
+            &[6.0, 2.5], // s5
+            &[7.5, 2.0], // s6
+            &[9.0, 1.0], // s7
+            &[7.0, 6.0], // s8 — dominated by s3/s4/s5
+        ]);
+        assert_eq!(ids, vec![0, 1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn block_bnl_keeps_duplicates() {
+        assert_eq!(
+            bnl_ids(&[&[1.0, 1.0], &[1.0, 1.0], &[2.0, 2.0]]),
+            vec![0, 1]
+        );
+    }
+
+    #[test]
+    fn block_bnl_removes_a_dominated_duplicate_cluster() {
+        assert_eq!(bnl_ids(&[&[2.0, 2.0], &[2.0, 2.0], &[1.0, 1.0]]), vec![2]);
+    }
+
+    #[test]
+    fn block_bnl_single_dimension_minimum_wins() {
+        assert_eq!(bnl_ids(&[&[5.0], &[3.0], &[9.0], &[3.0]]), vec![1, 3]);
+    }
+
+    #[test]
+    fn block_bnl_stats_account_input_output_and_passes() {
+        let block = block_of(&[&[1.0, 9.0], &[9.0, 1.0], &[5.0, 5.0], &[6.0, 6.0]]);
+        let (sky, stats) = block_bnl_stats(&block, &BnlConfig::default());
+        assert_eq!(stats.input_len, 4);
+        assert_eq!(stats.output_len, sky.len() as u64);
+        assert_eq!(stats.passes, 1);
+        assert_eq!(stats.overflowed, 0);
+        assert!(stats.comparisons > 0);
+        assert_eq!(stats.dim_weighted, 2 * stats.comparisons);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one point")]
+    fn zero_window_rejected() {
+        let _ = BnlConfig::with_window(0);
     }
 
     #[test]

@@ -16,21 +16,19 @@
 //!   coordinate buffer + parallel id vector), the transport and compute
 //!   representation of the hot paths.
 //! * [`kernel`] — block-based dominance kernels: branchless row compares,
-//!   a blocked BNL over flat buffers, the columnar SFS, and the
-//!   L1-presorting merge.
+//!   the Block-Nested-Loops skyline (Börzsönyi et al., ICDE 2001) with a
+//!   bounded self-organising window and multi-pass overflow handling over
+//!   flat buffers — the paper uses BNL for both local and global skylines —
+//!   the columnar Sort-Filter-Skyline, and the L1-presorting merge.
 //! * [`salsa`] — the SaLSa kernel (min-coordinate presort with an
 //!   early-stop watermark).
 //! * [`select`] — runtime kernel selection: [`BlockKernel`] dispatch and
 //!   the [`KernelChoice`] cost heuristic over a sampled correlation
 //!   estimate.
-//! * [`bnl`] — the Block-Nested-Loops skyline algorithm (Börzsönyi et al.,
-//!   ICDE 2001) with a bounded self-organising window and multi-pass overflow
-//!   handling; the paper uses BNL for both local and global skylines.
 //! * [`filter`] — deterministic filter-point selection for shuffle-side early
 //!   pruning (drop dominated rows before they are shuffled).
-//! * [`sfs`] — Sort-Filter-Skyline as a `Point` bridge over the block
-//!   kernel; an independent oracle in tests and a pluggable local kernel.
-//! * [`seq`] — a trivial quadratic reference implementation.
+//! * [`seq`] — a trivial quadratic reference implementation, the oracle of
+//!   the test suites.
 //! * [`hypersphere`] — the Cartesian → hyperspherical transform of the paper's
 //!   Eq. (1)/(2), which underlies angular partitioning.
 //! * [`partition`] — the [`SpacePartitioner`] trait and the three partitioners
@@ -45,14 +43,13 @@
 //! ```
 //! use skyline_algos::prelude::*;
 //!
-//! let points = vec![
-//!     Point::new(0, vec![1.0, 4.0]),
-//!     Point::new(1, vec![2.0, 2.0]),
-//!     Point::new(2, vec![4.0, 1.0]),
-//!     Point::new(3, vec![3.0, 3.0]), // dominated by point 1
-//! ];
-//! let sky = bnl_skyline(&points, &BnlConfig::default());
-//! let mut ids: Vec<u64> = sky.iter().map(|p| p.id()).collect();
+//! let mut points = PointBlock::new(2);
+//! points.push(0, &[1.0, 4.0]).unwrap();
+//! points.push(1, &[2.0, 2.0]).unwrap();
+//! points.push(2, &[4.0, 1.0]).unwrap();
+//! points.push(3, &[3.0, 3.0]).unwrap(); // dominated by point 1
+//! let sky = block_bnl(&points, &BnlConfig::default());
+//! let mut ids = sky.ids().to_vec();
 //! ids.sort_unstable();
 //! assert_eq!(ids, vec![0, 1, 2]);
 //! ```
@@ -60,7 +57,6 @@
 #![warn(missing_docs)]
 
 pub mod block;
-pub mod bnl;
 pub mod dominance;
 pub mod error;
 pub mod filter;
@@ -70,7 +66,6 @@ pub mod invariants;
 pub mod kdominant;
 pub mod kernel;
 pub mod metrics;
-pub mod parallel;
 pub mod partition;
 pub mod point;
 pub mod ranking;
@@ -78,12 +73,10 @@ pub mod representative;
 pub mod salsa;
 pub mod select;
 pub mod seq;
-pub mod sfs;
 pub mod skyband;
 pub mod topk;
 
 pub use block::PointBlock;
-pub use bnl::{bnl_skyline, bnl_skyline_stats, BnlConfig, BnlStats};
 pub use dominance::{dominates, strictly_dominates, DomCounter, DomRelation};
 pub use error::SkylineError;
 pub use filter::{filtered_out, select_filter_points};
@@ -91,9 +84,8 @@ pub use hypersphere::{to_hyperspherical, to_hyperspherical_into, HyperPoint};
 pub use kdominant::{k_dominant_skyline, k_dominates};
 pub use kernel::{
     block_bnl, block_bnl_stats, block_sfs, block_sfs_stats, compare_rows, dominated_count,
-    dominates_row, presort_merge, presort_merge_stats, KernelStats,
+    dominates_row, presort_merge, presort_merge_stats, BnlConfig, KernelStats,
 };
-pub use parallel::{parallel_skyline, parallel_skyline_partitioned, parallel_skyline_stats};
 pub use partition::{
     witness_prunable, AnglePartitioner, AxisProfile, BoundaryProfile, Bounds, DimPartitioner,
     GridPartitioner, PartitionSpace, RandomPartitioner, SpacePartitioner,
@@ -103,21 +95,18 @@ pub use ranking::WeightedScore;
 pub use representative::{distance_based_representatives, max_dominance_representatives};
 pub use salsa::{block_salsa, block_salsa_stats};
 pub use select::{correlation_estimate, BlockKernel, KernelChoice};
-pub use seq::naive_skyline;
-pub use sfs::{sfs_skyline, sfs_skyline_stats};
+pub use seq::{naive_skyline, naive_skyline_ids};
 pub use skyband::{DeleteOutcome, SkybandBuffer, SkybandStats};
 pub use topk::{dominance_counts, top_k_dominating, DominatingEntry};
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
     pub use crate::block::PointBlock;
-    pub use crate::bnl::{bnl_skyline, bnl_skyline_stats, BnlConfig, BnlStats};
     pub use crate::dominance::{dominates, strictly_dominates, DomCounter, DomRelation};
     pub use crate::hypersphere::{to_hyperspherical, HyperPoint};
     pub use crate::kdominant::{k_dominant_skyline, k_dominates};
-    pub use crate::kernel::{block_bnl, block_sfs, dominates_row, presort_merge};
+    pub use crate::kernel::{block_bnl, block_sfs, dominates_row, presort_merge, BnlConfig};
     pub use crate::metrics::local_skyline_optimality;
-    pub use crate::parallel::{parallel_skyline, parallel_skyline_partitioned};
     pub use crate::partition::{
         AnglePartitioner, AxisProfile, BoundaryProfile, Bounds, DimPartitioner, GridPartitioner,
         PartitionSpace, RandomPartitioner, SpacePartitioner,
@@ -129,8 +118,7 @@ pub mod prelude {
     };
     pub use crate::salsa::block_salsa;
     pub use crate::select::{BlockKernel, KernelChoice};
-    pub use crate::seq::naive_skyline;
-    pub use crate::sfs::sfs_skyline;
+    pub use crate::seq::{naive_skyline, naive_skyline_ids};
     pub use crate::skyband::{DeleteOutcome, SkybandBuffer};
     pub use crate::topk::top_k_dominating;
 }

@@ -103,7 +103,7 @@ impl WeightedScore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bnl::{bnl_skyline, BnlConfig};
+    use crate::seq::naive_skyline;
 
     fn pts(rows: &[&[f64]]) -> Vec<Point> {
         rows.iter()
@@ -155,7 +155,7 @@ mod tests {
                 )
             })
             .collect();
-        let sky = bnl_skyline(&dataset, &BnlConfig::default());
+        let sky = naive_skyline(&dataset);
         for _ in 0..10 {
             let w = vec![
                 rng.gen_range(0.0..2.0),

@@ -140,7 +140,7 @@ pub fn distance_based_representatives(skyline: &[Point], k: usize) -> Vec<Point>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bnl::{bnl_skyline, BnlConfig};
+    use crate::seq::{naive_skyline, naive_skyline_ids};
 
     fn contour(n: usize) -> Vec<Point> {
         // anti-correlated contour: everything is a skyline point
@@ -191,13 +191,8 @@ mod tests {
             Point::new(4, vec![2.0, 7.0]),
             Point::new(5, vec![6.0, 1.0]),
         ];
-        let sky = bnl_skyline(&dataset, &BnlConfig::default());
-        let ids: Vec<u64> = {
-            let mut v: Vec<u64> = sky.iter().map(Point::id).collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(ids, vec![0, 2]);
+        let sky = naive_skyline(&dataset);
+        assert_eq!(naive_skyline_ids(&dataset), vec![0, 2]);
         let reps = max_dominance_representatives(&sky, &dataset, 2);
         let rep_ids: Vec<u64> = reps.iter().map(Point::id).collect();
         assert!(rep_ids.contains(&0) && rep_ids.contains(&2));

@@ -28,8 +28,7 @@
 //! No RNG is involved, so selection is deterministic and replay-stable.
 
 use crate::block::PointBlock;
-use crate::bnl::BnlConfig;
-use crate::kernel::{block_bnl_stats, block_sfs_stats, KernelStats};
+use crate::kernel::{block_bnl_stats, block_sfs_stats, BnlConfig, KernelStats};
 use crate::salsa::block_salsa_stats;
 
 /// A concrete block-skyline kernel, the unit of runtime dispatch.

@@ -296,15 +296,10 @@ impl SkybandBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bnl::{bnl_skyline, BnlConfig};
+    use crate::seq::naive_skyline_ids;
 
     fn oracle_ids(live: &[Point]) -> Vec<u64> {
-        let mut ids: Vec<u64> = bnl_skyline(live, &BnlConfig::default())
-            .iter()
-            .map(Point::id)
-            .collect();
-        ids.sort_unstable();
-        ids
+        naive_skyline_ids(live)
     }
 
     fn sky_ids(b: &SkybandBuffer) -> Vec<u64> {

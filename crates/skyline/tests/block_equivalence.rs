@@ -1,6 +1,6 @@
 //! Property-based equivalence of the columnar kernels against the AoS
 //! oracle: `block_bnl` (any window size) and `presort_merge` must return
-//! exactly the skyline id-set of `bnl_skyline` over `&[Point]` for
+//! exactly the skyline id-set of `naive_skyline` over `&[Point]` for
 //! arbitrary datasets — including duplicated coordinates and fully equal
 //! rows, which small integer grids force constantly. CI runs this file with
 //! `--features strict-invariants` so every kernel call additionally
@@ -8,9 +8,9 @@
 
 use proptest::prelude::*;
 use skyline_algos::block::PointBlock;
-use skyline_algos::bnl::{bnl_skyline, BnlConfig};
-use skyline_algos::kernel::{block_bnl, presort_merge};
+use skyline_algos::kernel::{block_bnl, presort_merge, BnlConfig};
 use skyline_algos::point::Point;
+use skyline_algos::seq::naive_skyline_ids;
 
 fn arb_points() -> impl Strategy<Value = Vec<Point>> {
     (1usize..=6).prop_flat_map(|d| {
@@ -29,12 +29,7 @@ fn arb_points() -> impl Strategy<Value = Vec<Point>> {
 }
 
 fn oracle_ids(pts: &[Point]) -> Vec<u64> {
-    let mut ids: Vec<u64> = bnl_skyline(pts, &BnlConfig::default())
-        .iter()
-        .map(Point::id)
-        .collect();
-    ids.sort_unstable();
-    ids
+    naive_skyline_ids(pts)
 }
 
 fn block_ids(b: &PointBlock) -> Vec<u64> {

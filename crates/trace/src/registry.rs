@@ -1,10 +1,9 @@
 //! Process-wide metrics registry: named monotonic counters, gauges, and
 //! log₂-bucketed histograms.
 //!
-//! Kernel hot paths (`skyline::kernel`, `skyline::parallel`) take only a
-//! `&PointBlock` and cannot thread a handle, so recording goes through a
-//! process-global registry ([`metrics`]). Three properties keep that safe
-//! and cheap:
+//! Kernel hot paths (`skyline::kernel`) take only a `&PointBlock` and
+//! cannot thread a handle, so recording goes through a process-global
+//! registry ([`metrics`]). Three properties keep that safe and cheap:
 //!
 //! - **Off by default.** Every recording call first checks one relaxed
 //!   atomic; when disabled (the default) nothing is touched. The

@@ -2,7 +2,8 @@
 //! paper measures thousands of "optimal" services. This example runs the
 //! post-processing toolbox on one dataset:
 //!
-//! * multi-core skyline computation (block vs angular chunking),
+//! * the MapReduce skyline under random vs angular partitioning (angular
+//!   chunking shrinks the merge input),
 //! * k-dominant skylines (services good on at least k of d attributes),
 //! * top-k dominating services,
 //! * k representatives (coverage + diversity).
@@ -11,10 +12,9 @@
 //! cargo run --release --example high_dimensional_toolbox
 //! ```
 
+use mr_skyline_suite::mr::prelude::*;
 use mr_skyline_suite::qws::{generate_qws, QwsConfig};
 use mr_skyline_suite::skyline::kdominant::k_dominant_skyline;
-use mr_skyline_suite::skyline::parallel::{parallel_skyline_partitioned, parallel_skyline_stats};
-use mr_skyline_suite::skyline::partition::AnglePartitioner;
 use mr_skyline_suite::skyline::representative::{
     distance_based_representatives, max_dominance_representatives,
 };
@@ -25,32 +25,26 @@ fn main() {
     let registry = generate_qws(&QwsConfig::new(30_000, d));
     println!("{} services x {d} attributes\n", registry.len());
 
-    // --- multi-core skyline, two chunking strategies ---
-    let t0 = std::time::Instant::now();
-    let (skyline, block_stats) =
-        parallel_skyline_stats(registry.points(), 0).expect("block-chunked skyline");
-    let block_wall = t0.elapsed().as_secs_f64();
-    let partitioner =
-        AnglePartitioner::fit_quantile(registry.points(), 16).expect("valid partitioner");
-    let t0 = std::time::Instant::now();
-    let (skyline_ang, angular_stats) =
-        parallel_skyline_partitioned(registry.points(), &partitioner, 0)
-            .expect("angular-chunked skyline");
-    let angular_wall = t0.elapsed().as_secs_f64();
-    assert_eq!(skyline.len(), skyline_ang.len());
+    // --- the MapReduce skyline, two partitioning strategies ---
+    let random = SkylineJob::new(Algorithm::MrRandom, 8).run(&registry);
+    let angular = SkylineJob::new(Algorithm::MrAngle, 8).run(&registry);
+    assert_eq!(random.global_skyline.len(), angular.global_skyline.len());
     println!(
         "skyline: {} services ({:.1}% of the registry)",
-        skyline.len(),
-        100.0 * skyline.len() as f64 / registry.len() as f64
+        angular.global_skyline.len(),
+        100.0 * angular.global_skyline.len() as f64 / registry.len() as f64
     );
     println!(
-        "  block chunks:   {:>8} merge candidates, {:>11} local comparisons, {:.3}s wall",
-        block_stats.merge_candidates, block_stats.local_comparisons, block_wall
+        "  random partitions:  {:>8} merge candidates, local optimality {:.2}",
+        random.merge_candidates(),
+        random.optimality
     );
     println!(
-        "  angular chunks: {:>8} merge candidates, {:>11} local comparisons, {:.3}s wall",
-        angular_stats.merge_candidates, angular_stats.local_comparisons, angular_wall
+        "  angular partitions: {:>8} merge candidates, local optimality {:.2}",
+        angular.merge_candidates(),
+        angular.optimality
     );
+    let skyline = angular.global_skyline;
 
     // --- k-dominant skylines shrink the answer ---
     println!(

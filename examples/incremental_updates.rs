@@ -10,7 +10,8 @@
 use mr_skyline_suite::mr::prelude::*;
 use mr_skyline_suite::qws::dataset::{update_stream, Update};
 use mr_skyline_suite::qws::{generate_qws, QwsConfig};
-use mr_skyline_suite::skyline::bnl::{bnl_skyline_stats, BnlConfig};
+use mr_skyline_suite::skyline::block::PointBlock;
+use mr_skyline_suite::skyline::kernel::{block_bnl_stats, BnlConfig};
 
 fn main() {
     let registry_data = generate_qws(&QwsConfig::new(10_000, 4));
@@ -56,8 +57,9 @@ fn main() {
                 }
             }
         }
-        let (_, stats) = bnl_skyline_stats(&live, &BnlConfig::default());
-        batch_comparisons += stats.counter.comparisons();
+        let block = PointBlock::from_points(&live).expect("uniform dims");
+        let (_, stats) = block_bnl_stats(&block, &BnlConfig::default());
+        batch_comparisons += stats.comparisons;
     }
     println!(
         "batch recomputation cost: {batch_comparisons} comparisons ({} per event)",
@@ -69,16 +71,14 @@ fn main() {
     );
 
     // Consistency check: the maintained skyline equals the batch skyline.
-    let (batch_sky, _) = bnl_skyline_stats(&live, &BnlConfig::default());
+    let block = PointBlock::from_points(&live).expect("uniform dims");
+    let (batch_sky, _) = block_bnl_stats(&block, &BnlConfig::default());
     let mut a: Vec<u64> = registry
         .skyline()
         .iter()
         .map(mr_skyline_suite::skyline::point::Point::id)
         .collect();
-    let mut b: Vec<u64> = batch_sky
-        .iter()
-        .map(mr_skyline_suite::skyline::point::Point::id)
-        .collect();
+    let mut b: Vec<u64> = batch_sky.ids().to_vec();
     a.sort_unstable();
     b.sort_unstable();
     assert_eq!(a, b, "maintained skyline must equal the batch skyline");

@@ -211,7 +211,8 @@ const RUN_SWITCHES: &[&str] = &[
 /// Fails on the first `--flag` that neither the shared pipeline flags nor
 /// the command's own `values` / `switches` name, so a mistyped or retired
 /// flag cannot silently run the default configuration. The argument after
-/// a value-taking flag is its value, exactly as [`flag`] reads it.
+/// a value-taking flag is its value, exactly as [`flag`] reads it; a
+/// value-taking flag with no argument after it is an error too.
 fn reject_unknown_flags(
     command: &str,
     args: &[String],
@@ -222,7 +223,9 @@ fn reject_unknown_flags(
     while let Some(a) = rest.next() {
         let a = a.as_str();
         if RUN_VALUE_FLAGS.contains(&a) || values.contains(&a) {
-            rest.next();
+            if rest.next().is_none() {
+                return Err(format!("`{a}` expects a value"));
+            }
         } else if a.starts_with("--") && !RUN_SWITCHES.contains(&a) && !switches.contains(&a) {
             return Err(format!(
                 "unknown flag `{a}` for `mrsky {command}` (see `mrsky --help`)"

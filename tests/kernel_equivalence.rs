@@ -10,10 +10,10 @@ use mr_skyline_suite::qws::{
     generate_qws, generate_synthetic, Dataset, Distribution, QwsConfig, SyntheticConfig,
 };
 use mr_skyline_suite::skyline::block::PointBlock;
-use mr_skyline_suite::skyline::bnl::BnlConfig;
-use mr_skyline_suite::skyline::kernel::{block_bnl, block_sfs};
+use mr_skyline_suite::skyline::kernel::{block_bnl, block_sfs, BnlConfig};
 use mr_skyline_suite::skyline::salsa::block_salsa;
 use mr_skyline_suite::skyline::select::{BlockKernel, KernelChoice};
+use mr_skyline_suite::skyline::seq::naive_skyline_ids;
 use proptest::prelude::*;
 use std::sync::Once;
 
@@ -107,13 +107,18 @@ fn with_kernel(kernel: LocalKernel) -> AlgoConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// At the block level every sort-based kernel — and whatever the
-    /// selector picks — returns the same point set as `block_bnl`.
+    /// At the block level `block_bnl` returns the naive reference's id set,
+    /// and every sort-based kernel — and whatever the selector picks —
+    /// returns the same rows as `block_bnl`.
     #[test]
     fn block_kernels_match_the_bnl_oracle(data in arb_dataset()) {
         let block = PointBlock::from_points(data.points()).expect("generated data is uniform");
         let cfg = BnlConfig::default();
-        let oracle = block_fingerprint(&block_bnl(&block, &cfg));
+        let bnl = block_bnl(&block, &cfg);
+        let mut bnl_ids = bnl.ids().to_vec();
+        bnl_ids.sort_unstable();
+        prop_assert_eq!(bnl_ids, naive_skyline_ids(data.points()), "bnl vs naive");
+        let oracle = block_fingerprint(&bnl);
         prop_assert_eq!(
             block_fingerprint(&block_sfs(&block)), oracle.clone(), "sfs");
         prop_assert_eq!(
